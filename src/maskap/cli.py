@@ -9,6 +9,7 @@ import sys
 import time
 
 from . import attacks, metrics, protocol, registry, service
+from .core import FieldEncodingError, FieldTooLong
 from .protocol import ProtocolError
 from .registry import CorruptRecord
 
@@ -205,9 +206,17 @@ def cmd_sizes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bind_address(text: str) -> tuple[str, int]:
+    """`--bind host:port`; an empty host is 127.0.0.1 and an empty port 0."""
+    host, _, port = text.partition(":")
+    port = port or "0"
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"port {port!r} is not a number from 0 to 65535")
+    return host or "127.0.0.1", int(port)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
-    host, _, port_s = args.bind.partition(":")
-    port = int(port_s or "0")
+    host, port = args.bind
     if args.role == "server":
         trm, server_id, server_loc = registry.load_trm_with_meta(args.trm)
         if server_id is None or server_loc is None:
@@ -218,7 +227,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         rc = registry.load_rc(args.rc)
         app = service.RcApp(rc, rc_path=args.rc, delta_t=args.delta_t)
-    srv = service.start_server(app, host or "127.0.0.1", port)
+    srv = service.start_server(app, host, port)
     print(f"{args.role} role listening on {srv.server_address[0]}:{srv.server_address[1]}")
     try:
         srv.serve_forever()
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("serve", help="speak the wire format on a socket"), "window")
     p.add_argument("--role", choices=("rc", "server"), required=True)
-    p.add_argument("--bind", default="127.0.0.1:0")
+    p.add_argument("--bind", type=_bind_address, default="127.0.0.1:0", help="host:port")
     p.add_argument("--rc", help="RC database path (rc role)")
     p.add_argument("--trm", help="tamper-resistant memory path (server role)")
     p.set_defaults(fn=cmd_serve)
@@ -305,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         msg = {"error": exc.kind, "detail": str(exc)}
         print(json.dumps(msg) if args.json else f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 2
-    except (CorruptRecord, CliError, OSError) as exc:
+    except (CorruptRecord, CliError, OSError, FieldTooLong, FieldEncodingError) as exc:
         kind = type(exc).__name__
         print(
             json.dumps({"error": kind, "detail": str(exc)})

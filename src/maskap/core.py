@@ -27,6 +27,10 @@ class FieldTooLong(ValueError):
     """Identity/password/location longer than 16 UTF-8 bytes."""
 
 
+class FieldEncodingError(ValueError):
+    """Identity/password/location text that has no UTF-8 encoding (a lone surrogate)."""
+
+
 class HashCounter:
     """Counts protocol-level hash invocations, grouped by phase label.
 
@@ -99,25 +103,24 @@ def xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
-def keystream_mask(key: bytes, payload: bytes) -> bytes:
-    """XOR `payload` with counter-expanded hash blocks of `key`.
+def keystream_block(key: bytes, i: int) -> bytes:
+    """Block i of `key`'s keystream: sha256(key || i), i a 4-byte big-endian counter.
 
-    Block i is sha256(key || i) with i as a 4-byte big-endian counter.
-    Self-inverse.  The expansion hashes bypass sha256() above so they are
-    not charged to the active counter's protocol-level tally; they are
-    recorded in its separate keystream tally instead.
+    The hash bypasses sha256() above so it is not charged to the active
+    counter's protocol-level tally; it is recorded in its separate keystream
+    tally instead.
     """
-    if not payload:
-        return b""
     ctr = _ACTIVE.get()
-    blocks = bytearray()
-    i = 0
-    while len(blocks) < len(payload):
-        blocks += hashlib.sha256(key + struct.pack(">I", i)).digest()
-        if ctr is not None:
-            ctr._bump_keystream()
-        i += 1
-    return xor(payload, bytes(blocks[: len(payload)]))
+    if ctr is not None:
+        ctr._bump_keystream()
+    return hashlib.sha256(key + struct.pack(">I", i)).digest()
+
+
+def keystream_mask(key: bytes, payload: bytes) -> bytes:
+    """XOR `payload` with `key`'s keystream blocks 0, 1, ...  Self-inverse."""
+    n_blocks = -(-len(payload) // DIGEST_LEN)
+    stream = b"".join(keystream_block(key, i) for i in range(n_blocks))
+    return xor(payload, stream[: len(payload)])
 
 
 def concat(*fields: bytes) -> bytes:
@@ -127,7 +130,10 @@ def concat(*fields: bytes) -> bytes:
 
 def encode_field(value: str) -> bytes:
     """Encode an identity/password/location as 16 bytes, zero-padded on the right."""
-    raw = value.encode("utf-8")
+    try:
+        raw = value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FieldEncodingError(f"field {value!r} has no UTF-8 encoding: {exc.reason}") from None
     if len(raw) > FIELD_LEN:
         raise FieldTooLong(f"field {value!r} encodes to {len(raw)} bytes (max {FIELD_LEN})")
     return raw.ljust(FIELD_LEN, b"\x00")

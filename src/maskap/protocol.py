@@ -7,6 +7,7 @@ timestamps and an explicit RNG where randomness is needed.
 """
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Protocol as _Proto
@@ -17,6 +18,7 @@ from .core import (
     NONCE_LEN,
     concat,
     encode_field,
+    keystream_block,
     keystream_mask,
     sha256,
     ts_bytes,
@@ -356,8 +358,10 @@ def rc_register_server(rc: RcState, req: RegRequest, srt_j: int) -> TamperResist
 
 
 def server_list_bytes(rc: RcState) -> bytes:
+    """The card's server list, sorted by id so that login can binary-search it."""
     return b"".join(
-        ServerListEntry(id_j, rec.ssk_j, rec.loc_j).pack() for id_j, rec in rc.servers.items()
+        ServerListEntry(id_j, rc.servers[id_j].ssk_j, rc.servers[id_j].loc_j).pack()
+        for id_j in sorted(rc.servers)
     )
 
 
@@ -444,7 +448,7 @@ def _open_card(idb: bytes, pwb: bytes, card: SmartCard) -> _OpenedCard:
     usk = xor(xor(sha256(concat(idb, pwb)), card.y), b_i)
     uid = sha256(concat(r1, idb, r2))
     e_check = sha256(concat(uid, pwb, usk))
-    if e_check != card.e:
+    if not hmac.compare_digest(e_check, card.e):
         raise BadCredentials("card check value mismatch")
     return _OpenedCard(r1=r1, r2=r2, uid=uid, usk=usk)
 
@@ -453,6 +457,48 @@ def _unmask_server_list(idb: bytes, pwb: bytes, r1: bytes, r2: bytes, z: bytes) 
     return keystream_mask(
         sha256(concat(idb, pwb, r2)), keystream_mask(sha256(concat(r1, idb, pwb)), z)
     )
+
+
+def _find_server_entry(
+    idb: bytes, pwb: bytes, r1: bytes, r2: bytes, z: bytes, target: bytes
+) -> ServerListEntry | None:
+    """The entry for `target` in the masked list `z`, unmasking only the blocks read.
+
+    Entry k spans keystream blocks 2k and 2k+1, and its id is the first 16
+    bytes of block 2k.  A probe therefore unmasks one block under each of the
+    two mask keys, and the entry found unmasks its second block.  Lists are
+    written sorted by id, so a binary search finds the entry; when it misses,
+    every id is scanned, for cards whose lists are still in registration order.
+    """
+    inner = sha256(concat(idb, pwb, r2))
+    outer = sha256(concat(r1, idb, pwb))
+
+    def unmask(i: int) -> bytes:
+        block = z[i * DIGEST_LEN : (i + 1) * DIGEST_LEN]
+        return xor(xor(block, keystream_block(outer, i)), keystream_block(inner, i))
+
+    heads: dict[int, bytes] = {}
+
+    def id_at(k: int) -> bytes:
+        if k not in heads:
+            heads[k] = unmask(2 * k)
+        return heads[k][:FIELD_LEN]
+
+    def entry(k: int) -> ServerListEntry:
+        return ServerListEntry.unpack(heads[k] + unmask(2 * k + 1))
+
+    n = len(z) // SERVER_ENTRY_LEN
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = id_at(mid)
+        if probe == target:
+            return entry(mid)
+        if probe < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return next((entry(k) for k in range(n) if id_at(k) == target), None)
 
 
 def _recover_c(idb: bytes, pwb: bytes, r1: bytes, r2: bytes, x: bytes) -> bytes:
@@ -465,9 +511,8 @@ def user_login_begin(
     idb = encode_field(id_i)
     pwb = encode_field(pw_i)
     opened = _open_card(idb, pwb, card)
-    list_raw = _unmask_server_list(idb, pwb, opened.r1, opened.r2, card.z)
     target = encode_field(target_id_j)
-    entry = next((s for s in parse_server_list(list_raw) if s.id_j == target), None)
+    entry = _find_server_entry(idb, pwb, opened.r1, opened.r2, card.z, target)
     if entry is None:
         raise UnknownServer(f"server {target_id_j!r} not in card's list")
     alpha = xor(sha256(concat(entry.id_j, entry.ssk_j, ts_bytes(t1))), opened.uid)
@@ -505,7 +550,7 @@ def server_handle_login(
     if c_i is None:
         raise UnknownUser("uid not in provisioned user list")
     beta_check = sha256(concat(uid, trm.ssk_j, c_i, ts_bytes(req.t1)))
-    if beta_check != req.beta:
+    if not hmac.compare_digest(beta_check, req.beta):
         raise AuthFail("login request verifier mismatch")
     if replay_cache is not None:
         replay_cache.add((req.beta, req.t1))
@@ -525,7 +570,7 @@ def user_handle_response(
     plain = xor(resp.gamma, sha256(concat(ctx.c_i, ctx.uid, ctx.id_j, ctx.beta)))
     vt_raw, locb = plain[:VALIDITY_LEN], plain[VALIDITY_LEN:]
     sigma_check = sha256(concat(vt_raw, ctx.c_i, _enc_diff(resp.t2, ctx.t1)))
-    if sigma_check != resp.sigma:
+    if not hmac.compare_digest(sigma_check, resp.sigma):
         raise AuthFail("login response verifier mismatch")
     sk = sha256(concat(ctx.uid, ctx.id_j, ctx.c_i, locb, vt_raw))
     return SessionKey(sk=sk, vt=Validity16.unpack(vt_raw), peer_id=ctx.id_j)
@@ -557,7 +602,7 @@ def rc_handle_update(rc: RcState, req: UpdateRequest, t5: int, delta_t: int) -> 
     if c_i is None:
         raise UnknownUser("uid not registered")
     tau_check = sha256(concat(c_i, ts_bytes(req.t4), req.uid))
-    if tau_check != req.tau:
+    if not hmac.compare_digest(tau_check, req.tau):
         raise AuthFail("update request verifier mismatch")
     return server_list_bytes(rc)
 
@@ -593,7 +638,7 @@ def rc_handle_db_update(rc: RcState, req: DbUpdateRequest, t7: int, delta_t: int
     if rec is None:
         raise UnknownServer("server id not registered")
     omega_check = sha256(concat(rec.q_j, ts_bytes(req.t6), rec.ssk_j))
-    if omega_check != req.omega:
+    if not hmac.compare_digest(omega_check, req.omega):
         raise AuthFail("db update request verifier mismatch")
     marker = rc.sync_markers.get(req.id_j, 0)
     new_uids = list(rc.users)[marker:]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from maskap.cli import main
+from maskap.cli import build_parser, main
 
 
 @pytest.fixture
@@ -128,3 +128,40 @@ class TestReportingCommands:
         by_phase = {r["phase"]: r for r in rows}
         assert by_phase["authentication"]["hash_count"] == 20
         assert by_phase["authentication"]["wire_bytes"] == 136
+
+
+class TestBadInput:
+    """Bad input exits 2 with a one-line typed message, never a traceback."""
+
+    def test_id_too_long(self, paths, capsys):
+        enroll(paths)
+        capsys.readouterr()
+        code = main(["register-user", "--rc", paths["rc"], "--card", paths["card"],
+                     "--id", "a" * 23, "--pw", "pw"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FieldTooLong: ")
+
+    def test_id_not_utf8(self, paths, capsys):
+        enroll(paths)
+        capsys.readouterr()
+        # Python hands a command-line byte 0xff to the program as the lone
+        # surrogate U+DCFF, which has no UTF-8 encoding.
+        code = main(["--json", "register-user", "--rc", paths["rc"], "--card", paths["card"],
+                     "--id", "\udcff", "--pw", "pw"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FieldEncodingError"
+
+    def test_bind_port_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--role", "server", "--trm", "absent.trm.json",
+                  "--bind", "127.0.0.1:notaport"])
+        assert exc.value.code == 2
+        assert "argument --bind: port 'notaport' is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bind,addr", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)), (":8080", ("127.0.0.1", 8080)),
+        ("localhost", ("localhost", 0)),
+    ])
+    def test_bind_parsed_at_parse_time(self, bind, addr):
+        args = build_parser().parse_args(["serve", "--role", "rc", "--bind", bind])
+        assert args.bind == addr

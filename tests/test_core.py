@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskap.core import (
+    FieldEncodingError,
     FieldTooLong,
     HashCounter,
     LengthMismatch,
     concat,
     decode_field,
     encode_field,
+    keystream_block,
     keystream_mask,
     sha256,
     ts_bytes,
@@ -119,6 +121,20 @@ class TestKeystreamMask:
         )
         assert keystream_mask(key, payload) == xor(payload, stream[:100])
 
+    def test_block_is_one_block_of_the_mask(self):
+        key = hashlib.sha256(b"k3").digest()
+        stream = keystream_mask(key, b"\x00" * 160)
+        for i in range(5):
+            assert keystream_block(key, i) == stream[32 * i : 32 * (i + 1)]
+            assert keystream_block(key, i) == hashlib.sha256(key + struct.pack(">I", i)).digest()
+
+    def test_block_charged_to_keystream_tally(self):
+        counter = HashCounter()
+        with counter.phase("p"):
+            keystream_block(b"\x01" * 32, 7)
+        assert counter.count("p") == 0
+        assert counter.keystream_count("p") == 1
+
     def test_expansion_not_counted_as_protocol_hash(self):
         counter = HashCounter()
         with counter.phase("p"):
@@ -143,9 +159,19 @@ class TestFields:
         with pytest.raises(FieldTooLong):
             encode_field("é" * 9)  # 18 UTF-8 bytes
 
+    def test_lone_surrogate(self):
+        with pytest.raises(FieldEncodingError):
+            encode_field("\ud800")
+
     @given(st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=8))
     def test_injective_round_trip(self, s):
-        raw = s.encode("utf-8")
+        try:
+            raw = s.encode("utf-8")
+        except UnicodeEncodeError:
+            # Lone surrogates have no UTF-8 form: encode_field refuses them.
+            with pytest.raises(FieldEncodingError):
+                encode_field(s)
+            return
         if len(raw) > 16:
             return
         assert decode_field(encode_field(s)) == s

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskap import protocol
 from maskap.core import HashCounter, encode_field, sha256, ts_bytes, xor
@@ -14,6 +16,7 @@ from maskap.protocol import (
     MalformedList,
     NoServersRegistered,
     RcState,
+    ServerListEntry,
     StaleRequest,
     StaleResponse,
     UnknownServer,
@@ -295,6 +298,130 @@ class TestLogin:
             )
             keys.add(protocol.user_handle_response(ctx, resp, t3=t1 + 2, delta_t=5).sk)
         assert len(keys) == 3
+
+
+def card_with_servers(server_ids, seed=1):
+    """An RC with `server_ids` registered in the given order, each server's
+    memory synced, and one card for alice issued after them."""
+    rc = RcState(k_rc=K_RC)
+    rng = random.Random(seed)
+    trms = {}
+    for sid in server_ids:
+        _, reg = protocol.server_register_begin(sid, "pw", "loc", rng)
+        trms[sid] = protocol.rc_register_server(rc, reg, srt_j=SRT)
+    pending, ureq = protocol.user_register_begin("alice", "hunter2", rng)
+    prov = protocol.rc_register_user(rc, ureq, rng)
+    card = protocol.user_finalize_card("alice", "hunter2", pending.r1, pending.r2, prov)
+    delta = protocol.UserListDelta(entries=tuple(rc.users.items()))
+    for trm in trms.values():
+        protocol.apply_user_list_delta(trm, delta)
+    return rc, trms, card
+
+
+def registration_order_list(rc):
+    """The server list as cards issued before lists were sorted hold it."""
+    return b"".join(
+        ServerListEntry(id_j, rec.ssk_j, rec.loc_j).pack() for id_j, rec in rc.servers.items()
+    )
+
+
+def card_list(card):
+    opened = protocol._open_card(encode_field("alice"), encode_field("hunter2"), card)
+    return parse_server_list(
+        protocol._unmask_server_list(
+            encode_field("alice"), encode_field("hunter2"), opened.r1, opened.r2, card.z
+        )
+    )
+
+
+def agree(trms, card, server_id, t1=1_700_000_050):
+    req, ctx = protocol.user_login_begin("alice", "hunter2", card, server_id, t1)
+    resp, skey = protocol.server_handle_login(
+        trms[server_id], server_id, "loc", req, t2=t1 + 1, delta_t=5
+    )
+    return protocol.user_handle_response(ctx, resp, t3=t1 + 2, delta_t=5).sk == skey.sk
+
+
+class TestServerListSearch:
+    SCRAMBLED = ["s5", "s1", "s9", "s3", "s7", "s0"]
+
+    def test_list_written_sorted(self):
+        rc, _, card = card_with_servers(self.SCRAMBLED)
+        ids = [e.id_j for e in parse_server_list(protocol.server_list_bytes(rc))]
+        assert ids == sorted(encode_field(s) for s in self.SCRAMBLED)
+        assert [e.id_j for e in card_list(card)] == ids
+
+    def test_unsorted_card_logs_in_everywhere(self):
+        rc, trms, card = card_with_servers(self.SCRAMBLED)
+        legacy = protocol.user_apply_server_list(
+            "alice", "hunter2", card, registration_order_list(rc)
+        )
+        assert [e.id_j for e in card_list(legacy)] == [encode_field(s) for s in self.SCRAMBLED]
+        for sid in self.SCRAMBLED:
+            assert agree(trms, legacy, sid)
+
+    def test_update_rewrites_unsorted_card_sorted(self):
+        rc, trms, card = card_with_servers(self.SCRAMBLED)
+        legacy = protocol.user_apply_server_list(
+            "alice", "hunter2", card, registration_order_list(rc)
+        )
+        t4 = 1_700_000_100
+        req, _ = protocol.user_update_begin("alice", "hunter2", legacy, t4=t4)
+        list_bytes = protocol.rc_handle_update(rc, req, t5=t4 + 1, delta_t=5)
+        updated = protocol.user_apply_server_list("alice", "hunter2", legacy, list_bytes)
+        assert updated.z == card.z
+
+    @pytest.mark.parametrize("sorted_list", [True, False])
+    def test_absent_id_raises_unknown_server(self, sorted_list):
+        rc, _, card = card_with_servers(self.SCRAMBLED)
+        if not sorted_list:
+            card = protocol.user_apply_server_list(
+                "alice", "hunter2", card, registration_order_list(rc)
+            )
+        for absent in ("s", "s2", "s4x", "s99", "a", "z"):
+            with pytest.raises(UnknownServer):
+                protocol.user_login_begin("alice", "hunter2", card, absent, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 48, 63])
+    def test_keystream_blocks_logarithmic(self, n):
+        # At most floor(log2 n) + 1 probes of two blocks each, plus the two
+        # blocks of the found entry's second half.  A card of one server
+        # still needs 4: its single entry spans two blocks under two keys.
+        ids = [f"srv{j:02d}" for j in range(n)]
+        _, _, card = card_with_servers(ids)
+        bound = 2 * n.bit_length() + 2
+        for sid in ids:
+            counter = HashCounter()
+            with counter.phase("login"):
+                protocol.user_login_begin("alice", "hunter2", card, sid, 0)
+            assert counter.keystream_count("login") <= bound
+            assert counter.count("login") == 12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet="abz09_", min_size=1, max_size=16),
+            min_size=1, max_size=24, unique=True,
+        ),
+        st.text(alphabet="abz09_", min_size=1, max_size=16),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_search_matches_linear_scan(self, ids, extra, rnd, keep_sorted):
+        rc, _, card = card_with_servers(ids)
+        if not keep_sorted:
+            entries = parse_server_list(protocol.server_list_bytes(rc))
+            rnd.shuffle(entries)
+            card = protocol.user_apply_server_list(
+                "alice", "hunter2", card, b"".join(e.pack() for e in entries)
+            )
+        idb, pwb = encode_field("alice"), encode_field("hunter2")
+        opened = protocol._open_card(idb, pwb, card)
+        scanned = card_list(card)
+        for target in [*ids, extra]:
+            tb = encode_field(target)
+            found = protocol._find_server_entry(idb, pwb, opened.r1, opened.r2, card.z, tb)
+            assert found == next((e for e in scanned if e.id_j == tb), None)
 
 
 class TestUpdatePhase:
