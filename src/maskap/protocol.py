@@ -414,10 +414,8 @@ def user_finalize_card(
     b_i = xor(sha256(concat(r1, pwb)), sha256(concat(r2, pwb)))
     x = xor(xor(sha256(xor(r2, idb)), prov.c_i), sha256(xor(r1, pwb)))
     y = xor(b_i, prov.d_i)
-    z = keystream_mask(
-        sha256(concat(r1, idb, pwb)),
-        keystream_mask(sha256(concat(idb, pwb, r2)), prov.list_bytes),
-    )
+    outer, inner = _server_list_keys(idb, pwb, r1, r2)
+    z = keystream_mask(outer, keystream_mask(inner, prov.list_bytes))
     usk_i = xor(a_i, prov.d_i)
     e = sha256(concat(uid_i, pwb, usk_i))
     return SmartCard(w=w, x=x, y=y, z=z, e=e)
@@ -453,10 +451,14 @@ def _open_card(idb: bytes, pwb: bytes, card: SmartCard) -> _OpenedCard:
     return _OpenedCard(r1=r1, r2=r2, uid=uid, usk=usk)
 
 
+def _server_list_keys(idb: bytes, pwb: bytes, r1: bytes, r2: bytes) -> tuple[bytes, bytes]:
+    """The two keys whose keystreams mask the card's server list, outer one first."""
+    return sha256(concat(r1, idb, pwb)), sha256(concat(idb, pwb, r2))
+
+
 def _unmask_server_list(idb: bytes, pwb: bytes, r1: bytes, r2: bytes, z: bytes) -> bytes:
-    return keystream_mask(
-        sha256(concat(idb, pwb, r2)), keystream_mask(sha256(concat(r1, idb, pwb)), z)
-    )
+    outer, inner = _server_list_keys(idb, pwb, r1, r2)
+    return keystream_mask(inner, keystream_mask(outer, z))
 
 
 def _find_server_entry(
@@ -470,8 +472,7 @@ def _find_server_entry(
     written sorted by id, so a binary search finds the entry; when it misses,
     every id is scanned, for cards whose lists are still in registration order.
     """
-    inner = sha256(concat(idb, pwb, r2))
-    outer = sha256(concat(r1, idb, pwb))
+    outer, inner = _server_list_keys(idb, pwb, r1, r2)
 
     def unmask(i: int) -> bytes:
         block = z[i * DIGEST_LEN : (i + 1) * DIGEST_LEN]
@@ -613,10 +614,8 @@ def user_apply_server_list(id_i: str, pw_i: str, card: SmartCard, list_bytes: by
     opened = _open_card(idb, pwb, card)
     if len(list_bytes) == 0 or len(list_bytes) % SERVER_ENTRY_LEN != 0:
         raise MalformedList(f"server list length {len(list_bytes)} not a positive multiple of 64")
-    z_new = keystream_mask(
-        sha256(concat(opened.r1, idb, pwb)),
-        keystream_mask(sha256(concat(idb, pwb, opened.r2)), list_bytes),
-    )
+    outer, inner = _server_list_keys(idb, pwb, opened.r1, opened.r2)
+    z_new = keystream_mask(outer, keystream_mask(inner, list_bytes))
     return replace(card, z=z_new)
 
 
