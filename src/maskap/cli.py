@@ -18,12 +18,21 @@ class CliError(Exception):
     pass
 
 
+def _seed(args: argparse.Namespace, default: int | None = None) -> int | None:
+    """`--seed`, else the MASKAP_SEED environment variable, else ``default``."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("MASKAP_SEED")
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"MASKAP_SEED={env!r} is not an integer") from None
+
+
 def _rng(args: argparse.Namespace) -> random.Random:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MASKAP_SEED")
-        if env is not None:
-            seed = int(env)
+    seed = _seed(args)
     if seed is None:
         return random.SystemRandom()
     return random.Random(seed)
@@ -142,7 +151,7 @@ def cmd_sync_server(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("MASKAP_SEED", "0"))
+    seed = _seed(args, default=0)
     if args.name == "all":
         reports = attacks.run_all(seed=seed)
         failures = sum(r.acceptances for r in reports.values())
@@ -217,6 +226,9 @@ def _bind_address(text: str) -> tuple[str, int]:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     host, port = args.bind
+    path_flag = "trm" if args.role == "server" else "rc"
+    if getattr(args, path_flag) is None:
+        raise CliError(f"serve --role {args.role} needs --{path_flag}")
     if args.role == "server":
         trm, server_id, server_loc = registry.load_trm_with_meta(args.trm)
         if server_id is None or server_loc is None:

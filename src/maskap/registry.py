@@ -1,14 +1,17 @@
 """File persistence for RC state, tamper-resistant memories, and smart cards.
 
-JSON documents with lowercase-hex byte fields and a version tag.  Writes go
-through a temp file plus atomic rename so readers always see whole snapshots.
+JSON documents with lowercase-hex byte fields and a version tag, written
+compact with sorted keys.  Writes go through a temp file that is fsynced,
+renamed over the target, and made durable with an fsync of the directory, so
+readers always see whole snapshots and a crash keeps the old or the new one.
+Loaders accept any JSON layout, the indented files of earlier versions too.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Iterator
 
 from .core import DIGEST_LEN, FIELD_LEN
 from .protocol import RcState, ServerRecord, SmartCard, TamperResistantMemory
@@ -19,9 +22,33 @@ RC_SUFFIX = ".rcdb.json"
 CARD_SUFFIX = ".card.json"
 TRM_SUFFIX = ".trm.json"
 
+# Rows of a top-level list encoded per write call: one string per batch keeps
+# the encoder's output small however many users a file holds.
+ROW_BATCH = 256
+
+# `json.dump` always runs the pure-Python encoder; `encode` uses the C one.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class CorruptRecord(Exception):
-    """A persisted record failed width, uniqueness, or format validation."""
+    """A persisted record failed width, uniqueness, shape, or format validation."""
+
+
+def _chunks(doc: dict) -> Iterator[str]:
+    """`_encode(doc)` in pieces: each top-level list goes out ROW_BATCH rows at a time."""
+    yield "{"
+    for i, key in enumerate(sorted(doc)):
+        yield ("," if i else "") + _encode(key) + ":"
+        value = doc[key]
+        if not isinstance(value, list):
+            yield _encode(value)
+            continue
+        yield "["
+        for start in range(0, len(value), ROW_BATCH):
+            # Strip the batch's own brackets; the list's were written above.
+            yield ("," if start else "") + _encode(value[start : start + ROW_BATCH])[1:-1]
+        yield "]"
+    yield "}\n"
 
 
 def _atomic_write(path: str, doc: dict) -> None:
@@ -29,21 +56,28 @@ def _atomic_write(path: str, doc: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.writelines(_chunks(doc))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _load_doc(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptRecord(f"{path}: not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
+        raise CorruptRecord(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptRecord(f"{path}: top level must be an object")
     if doc.get("version") != FORMAT_VERSION:
@@ -61,6 +95,51 @@ def _unhex(doc_path: str, name: str, value: Any, width: int | None) -> bytes:
     if width is not None and len(raw) != width:
         raise CorruptRecord(f"{doc_path}: field {name} must be {width} bytes, got {len(raw)}")
     return raw
+
+
+def _unhex_all(doc_path: str, name: str, values: list, width: int) -> list[bytes]:
+    """`_unhex` of every value, decoded by one C-level `map` over the column.
+
+    A column that fails is decoded again value by value with `_unhex`,
+    which raises on the first bad value and names its field.
+    """
+    try:
+        raw = list(map(bytes.fromhex, values))
+        if set(map(len, raw)) <= {width}:
+            return raw
+    except (TypeError, ValueError):
+        pass
+    return [_unhex(doc_path, name, value, width) for value in values]
+
+
+def _list(doc_path: str, doc: dict, name: str) -> list:
+    value = doc[name]
+    if not isinstance(value, list):
+        raise CorruptRecord(f"{doc_path}: field {name} must be a list")
+    return value
+
+
+def _rows(doc_path: str, doc: dict, name: str) -> list[dict]:
+    rows = _list(doc_path, doc, name)
+    if not set(map(type, rows)) <= {dict}:
+        raise CorruptRecord(f"{doc_path}: every row of {name} must be an object")
+    return rows
+
+
+def _user_map(doc_path: str, doc: dict, name: str) -> dict[bytes, bytes]:
+    """The uid -> c map of the ``{"uid", "c"}`` row list ``doc[name]``."""
+    rows = _rows(doc_path, doc, name)
+    uid_hex = [row["uid"] for row in rows]
+    c_hex = [row["c"] for row in rows]
+    uids = _unhex_all(doc_path, f"{name}.uid", uid_hex, DIGEST_LEN)
+    users = dict(zip(uids, _unhex_all(doc_path, f"{name}.c", c_hex, DIGEST_LEN)))
+    if len(users) != len(uids):
+        seen: set[bytes] = set()
+        for uid in uids:
+            if uid in seen:
+                raise CorruptRecord(f"{doc_path}: duplicate uid {uid.hex()} in {name}")
+            seen.add(uid)
+    return users
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +172,7 @@ def load_rc(path: str) -> RcState:
     try:
         k_rc = _unhex(path, "k_rc", doc["k_rc"], DIGEST_LEN)
         servers: dict[bytes, ServerRecord] = {}
-        for row in doc["servers"]:
+        for row in _rows(path, doc, "servers"):
             id_j = _unhex(path, "servers.id", row["id"], FIELD_LEN)
             if id_j in servers:
                 raise CorruptRecord(f"{path}: duplicate server id {row['id']}")
@@ -106,12 +185,9 @@ def load_rc(path: str) -> RcState:
                 loc_j=_unhex(path, "servers.loc", row["loc"], FIELD_LEN),
                 srt_j=srt,
             )
-        users: dict[bytes, bytes] = {}
-        for row in doc["users"]:
-            uid = _unhex(path, "users.uid", row["uid"], DIGEST_LEN)
-            if uid in users:
-                raise CorruptRecord(f"{path}: duplicate uid {row['uid']}")
-            users[uid] = _unhex(path, "users.c", row["c"], DIGEST_LEN)
+        users = _user_map(path, doc, "users")
+        if not isinstance(doc["sync_markers"], dict):
+            raise CorruptRecord(f"{path}: field sync_markers must be an object")
         markers: dict[bytes, int] = {}
         for key, value in doc["sync_markers"].items():
             id_j = _unhex(path, "sync_markers key", key, FIELD_LEN)
@@ -194,13 +270,8 @@ def load_trm(path: str) -> TamperResistantMemory:
 def load_trm_with_meta(path: str) -> tuple[TamperResistantMemory, str | None, str | None]:
     doc = _load_doc(path)
     try:
-        list_uid = {_unhex(path, "list_uid", h, DIGEST_LEN) for h in doc["list_uid"]}
-        list_c: dict[bytes, bytes] = {}
-        for row in doc["list_c"]:
-            uid = _unhex(path, "list_c.uid", row["uid"], DIGEST_LEN)
-            if uid in list_c:
-                raise CorruptRecord(f"{path}: duplicate uid in list_c")
-            list_c[uid] = _unhex(path, "list_c.c", row["c"], DIGEST_LEN)
+        list_uid = set(_unhex_all(path, "list_uid", _list(path, doc, "list_uid"), DIGEST_LEN))
+        list_c = _user_map(path, doc, "list_c")
         if list_uid != set(list_c):
             raise CorruptRecord(f"{path}: list_uid and list_c key set diverge")
         trm = TamperResistantMemory(
@@ -211,4 +282,8 @@ def load_trm_with_meta(path: str) -> tuple[TamperResistantMemory, str | None, st
         )
     except KeyError as exc:
         raise CorruptRecord(f"{path}: missing field {exc}") from exc
-    return trm, doc.get("server_id"), doc.get("server_loc")
+    server_id, server_loc = doc.get("server_id"), doc.get("server_loc")
+    for name, value in (("server_id", server_id), ("server_loc", server_loc)):
+        if value is not None and not isinstance(value, str):
+            raise CorruptRecord(f"{path}: field {name} must be a string")
+    return trm, server_id, server_loc

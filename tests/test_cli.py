@@ -165,3 +165,31 @@ class TestBadInput:
     def test_bind_parsed_at_parse_time(self, bind, addr):
         args = build_parser().parse_args(["serve", "--role", "rc", "--bind", bind])
         assert args.bind == addr
+
+    @pytest.mark.parametrize("role,flag", [("server", "trm"), ("rc", "rc")])
+    def test_serve_without_state_file(self, role, flag, capsys):
+        assert main(["serve", "--role", role]) == 2
+        assert capsys.readouterr().err == f"error: CliError: serve --role {role} needs --{flag}\n"
+
+    @pytest.mark.parametrize("argv", [["rc-init", "--rc", "never-written.rcdb.json"],
+                                      ["attack", "replay"]])
+    def test_seed_env_not_an_integer(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("MASKAP_SEED", "abc")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: CliError: MASKAP_SEED='abc' is not an integer\n"
+
+    @pytest.mark.parametrize("key,value", [("users", 5), ("users", ["x"]), ("servers", [1]),
+                                           ("sync_markers", [])])
+    def test_wrongly_shaped_rc(self, paths, capsys, key, value):
+        enroll(paths)
+        with open(paths["rc"]) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with open(paths["rc"], "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        code = main(["register-user", "--rc", paths["rc"], "--card", paths["card"],
+                     "--id", "bob", "--pw", "pw"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptRecord: ") and key in err
