@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from . import protocol
+from . import protocol, wire
 from .core import HashCounter, encode_field, sha256, ts_bytes, xor
 from .netsim import Delay, ModifyBit, Replay, World, build_world
 from .protocol import (
@@ -35,20 +35,13 @@ class AttackReport:
     attempts: int = 0
     acceptances: int = 0
     notes: list[str] = field(default_factory=list)
+    max_reject_hashes: int | None = None  # set by the denial-of-service scenario
 
     def note(self, text: str) -> None:
         self.notes.append(text)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "attack_name": self.attack_name,
-                "attempts": self.attempts,
-                "acceptances": self.acceptances,
-                "notes": self.notes,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def default_world(seed: int = 0) -> World:
@@ -88,9 +81,9 @@ def _capture_session(world: World, user_id: str, server_id: str, delta_t: int = 
     """Run an honest session and hand back its public frames."""
     outcome = world.run_honest_session(user_id, server_id, delta_t)
     assert outcome.accepted, "control session must succeed"
-    req = LoginRequest.unpack(bytes.fromhex(outcome.transcript[0]["frame"]))
+    req = wire.decode_body(LoginRequest, bytes.fromhex(outcome.transcript[0]["frame"]))
     resp_event = next(e for e in outcome.transcript if e["direction"] == "server->user")
-    resp = LoginResponse.unpack(bytes.fromhex(resp_event["frame"]))
+    resp = wire.decode_body(LoginResponse, bytes.fromhex(resp_event["frame"]))
     return outcome, req, resp
 
 
@@ -530,7 +523,7 @@ def attack_dos(world: World | None = None, seed: int = 0) -> AttackReport:
             pass
         hash_costs.append(counter.count("server_reject"))
     report.note(f"server hash cost before rejecting a forged request: {sorted(set(hash_costs))}")
-    report.max_reject_hashes = max(hash_costs)  # type: ignore[attr-defined]
+    report.max_reject_hashes = max(hash_costs)
     return report
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
 
-from . import attacks, metrics, protocol, registry, service
+from . import attacks, metrics, protocol, registry, service, wire
 from .core import FieldEncodingError, FieldTooLong
 from .protocol import ProtocolError
 from .registry import CorruptRecord
@@ -116,7 +117,7 @@ def cmd_update_card(args: argparse.Namespace) -> int:
     list_bytes = protocol.rc_handle_update(rc, req, t5=_now(), delta_t=args.delta_t)
     new_card = protocol.user_apply_server_list(args.id, args.pw, card, list_bytes)
     registry.store_card(new_card, args.card)
-    n = len(list_bytes) // 64
+    n = len(list_bytes) // protocol.SERVER_ENTRY_LEN
     _emit(args, {"card": args.card, "servers": n}, f"card updated with {n} server entries")
     return 0
 
@@ -197,10 +198,12 @@ def cmd_sizes(args: argparse.Namespace) -> int:
     rows = []
     for n in (1, 2, 3, 4, 5):
         rows.append({"servers": n, "card_bytes": metrics.card_storage_bytes(n)})
+    request = wire.layout(protocol.LoginRequest).size
+    response = wire.layout(protocol.LoginResponse).size
     doc = {
-        "login_request_bytes": 68,
-        "login_response_bytes": 68,
-        "auth_total_bytes": 136,
+        "login_request_bytes": request,
+        "login_response_bytes": response,
+        "auth_total_bytes": request + response,
         "card_storage": rows,
         "published_card_bytes": metrics.PAPER_CARD_STORAGE_BYTES,
         "note": "published card figure counts five digests; the masked server list adds 64 bytes per server",
@@ -208,7 +211,7 @@ def cmd_sizes(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
-        print("login exchange: 68 + 68 = 136 bytes")
+        print(f"login exchange: {request} + {response} = {request + response} bytes")
         for row in rows:
             print(f"card with {row['servers']} server(s): {row['card_bytes']} bytes")
         print(f"published card figure: {metrics.PAPER_CARD_STORAGE_BYTES} bytes ({doc['note']})")
@@ -317,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # building the tree costs far more than a parse
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ProtocolError as exc:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from . import protocol
+from . import protocol, wire
 from .core import HashCounter
 from .netsim import World, build_world
 
@@ -30,15 +30,7 @@ class CostReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "hash_count": self.hash_count,
-            "keystream_hashes": self.keystream_hashes,
-            "wire_bytes": self.wire_bytes,
-            "storage_bytes": self.storage_bytes,
-            "wall_time_ms": self.wall_time_ms,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def run_counted_auth(
@@ -54,13 +46,13 @@ def run_counted_auth(
     t1 = world.clock.now
     with counter.phase("auth"):
         req, ctx = protocol.user_login_begin(user.user_id, user.password, user.card, server_id, t1)
-    request_bytes = len(req.pack())
+    request_bytes = len(wire.encode_body(req))
     with counter.phase("auth"):
         resp, server_key = protocol.server_handle_login(
             server.trm, server.server_id, server.location, req,
             t2=t1 + world.latency_s, delta_t=delta_t, vt_duration=world.vt_duration_s,
         )
-    response_bytes = len(resp.pack())
+    response_bytes = len(wire.encode_body(resp))
     with counter.phase("auth"):
         user_key = protocol.user_handle_response(
             ctx, resp, t3=t1 + 2 * world.latency_s, delta_t=delta_t

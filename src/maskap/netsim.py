@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Union
 
-from . import protocol
+from . import protocol, wire
 from .protocol import (
     LoginRequest,
     LoginResponse,
@@ -87,12 +87,9 @@ class Inject:
 
 AdversaryAction = Union[Forward, Delay, Replay, ModifyBit, Drop, Inject]
 
-_FIELD_SPANS = {
-    # message index 0: login request
-    0: {"alpha": (0, 32), "beta": (32, 64), "t1": (64, 68)},
-    # message index 1: login response
-    1: {"gamma": (0, 32), "sigma": (32, 64), "t2": (64, 68)},
-}
+# A session's public messages by index: the class, its sender and its receiver.
+_MESSAGES = ((LoginRequest, "user", "server"), (LoginResponse, "server", "user"))
+_FIELD_SPANS = {index: wire.layout(cls).spans for index, (cls, *_) in enumerate(_MESSAGES)}
 
 
 def action_from_json(obj: dict) -> AdversaryAction:
@@ -312,11 +309,38 @@ class World:
         transcript: list[dict] = []
         errors: list[str] = []
         tainted_accept = False
-        user_key: SessionKey | None = None
-        server_key: SessionKey | None = None
 
-        def record(event: dict) -> None:
-            transcript.append(event)
+        def deliver(msg_index: int, msg: LoginRequest | LoginResponse, sent_at: int, handle):
+            """Pass a message through the adversary; the first accepted (result, time), or None."""
+            nonlocal tainted_accept
+            cls, sender, peer = _MESSAGES[msg_index]
+            actions = script.get(msg_index, [])
+            frame = wire.encode_body(msg)
+            transcript.append(
+                {"time": sent_at, "channel": "public", "direction": f"{sender}->{peer}",
+                 "frame": frame.hex(), "actions": [_action_desc(a) for a in actions]}
+            )
+            deliveries = _apply_actions(actions, frame, sent_at, self.latency_s, msg_index)
+            if not deliveries:
+                errors.append("Dropped")
+            first = None
+            for dlv in deliveries:
+                self.clock.advance_to(dlv.arrival)
+                self.adversary_observed.append(dlv.frame)
+                event = {"time": dlv.arrival, "channel": "public", "direction": f"deliver->{peer}",
+                         "frame": dlv.frame.hex(), "pristine": dlv.pristine}
+                try:
+                    result = handle(wire.decode_body(cls, dlv.frame), self.clock.now)
+                except (ProtocolError, wire.CodecError) as exc:
+                    kind = exc.kind if isinstance(exc, ProtocolError) else "MalformedFrame"
+                    event["result"] = kind
+                    errors.append(kind)
+                else:
+                    event["result"] = "accepted"
+                    tainted_accept = tainted_accept or not dlv.pristine
+                    first = first or (result, self.clock.now)
+                transcript.append(event)
+            return first
 
         t1 = self.clock.now
         try:
@@ -326,83 +350,22 @@ class World:
         except ProtocolError as exc:
             return ScenarioOutcome(False, exc.kind, transcript, None)
 
-        req_actions = script.get(0, [])
-        record(
-            {"time": t1, "channel": "public", "direction": "user->server",
-             "frame": login_req.pack().hex(),
-             "actions": [_action_desc(a) for a in req_actions]}
-        )
+        user_key: SessionKey | None = None
+        server_key: SessionKey | None = None
+        served = deliver(0, login_req, t1, lambda req, now: protocol.server_handle_login(
+            server.trm, server.server_id, server.location, req,
+            t2=now, delta_t=delta_t, vt_duration=self.vt_duration_s,
+        ))
+        if served is not None:
+            (response, server_key), response_time = served
+            finished = deliver(1, response, response_time, lambda resp, now: (
+                protocol.user_handle_response(ctx, resp, t3=now, delta_t=delta_t)
+            ))
+            user_key = finished[0] if finished else None
 
-        response: LoginResponse | None = None
-        response_time: int | None = None
-        req_deliveries = _apply_actions(req_actions, login_req.pack(), t1, self.latency_s, 0)
-        if not req_deliveries:
-            errors.append("Dropped")
-        for dlv in req_deliveries:
-            self.clock.advance_to(dlv.arrival)
-            self.adversary_observed.append(dlv.frame)
-            event = {"time": dlv.arrival, "channel": "public", "direction": "deliver->server",
-                     "frame": dlv.frame.hex(), "pristine": dlv.pristine}
-            try:
-                req = LoginRequest.unpack(dlv.frame)
-                resp, key = protocol.server_handle_login(
-                    server.trm, server.server_id, server.location, req,
-                    t2=self.clock.now, delta_t=delta_t, vt_duration=self.vt_duration_s,
-                )
-                event["result"] = "accepted"
-                if not dlv.pristine:
-                    tainted_accept = True
-                if response is None:
-                    response, response_time, server_key = resp, self.clock.now, key
-            except (ProtocolError, ValueError) as exc:
-                kind = exc.kind if isinstance(exc, ProtocolError) else "MalformedFrame"
-                event["result"] = kind
-                errors.append(kind)
-            record(event)
-
-        if response is not None:
-            resp_actions = script.get(1, [])
-            record(
-                {"time": response_time, "channel": "public", "direction": "server->user",
-                 "frame": response.pack().hex(),
-                 "actions": [_action_desc(a) for a in resp_actions]}
-            )
-            deliveries = _apply_actions(
-                resp_actions, response.pack(), response_time, self.latency_s, 1
-            )
-            if not deliveries:
-                errors.append("Dropped")
-            for dlv in deliveries:
-                self.clock.advance_to(dlv.arrival)
-                self.adversary_observed.append(dlv.frame)
-                event = {"time": dlv.arrival, "channel": "public", "direction": "deliver->user",
-                         "frame": dlv.frame.hex(), "pristine": dlv.pristine}
-                try:
-                    resp = LoginResponse.unpack(dlv.frame)
-                    key = protocol.user_handle_response(
-                        ctx, resp, t3=self.clock.now, delta_t=delta_t
-                    )
-                    event["result"] = "accepted"
-                    if not dlv.pristine:
-                        tainted_accept = True
-                    if user_key is None:
-                        user_key = key
-                except (ProtocolError, ValueError) as exc:
-                    kind = exc.kind if isinstance(exc, ProtocolError) else "MalformedFrame"
-                    event["result"] = kind
-                    errors.append(kind)
-                record(event)
-
-        keys_agree = (
-            user_key is not None and server_key is not None and user_key.sk == server_key.sk
-        )
-        accepted = keys_agree and not tainted_accept and not errors
-        return ScenarioOutcome(
-            accepted=accepted,
-            error=errors[0] if errors else None,
-            transcript=transcript,
-            session_keys=(user_key, server_key) if user_key and server_key else None,
-        )
+        keys = (user_key, server_key) if user_key and server_key else None
+        accepted = keys is not None and keys[0].sk == keys[1].sk and not tainted_accept
+        return ScenarioOutcome(accepted and not errors, errors[0] if errors else None, transcript, keys)
 
 
 def build_world(

@@ -26,8 +26,6 @@ from .core import (
 )
 
 SERVER_ENTRY_LEN = FIELD_LEN + DIGEST_LEN + FIELD_LEN  # 64
-LOGIN_REQUEST_LEN = 68
-LOGIN_RESPONSE_LEN = 68
 VALIDITY_LEN = 16
 DEFAULT_VT_DURATION = 900
 
@@ -238,30 +236,12 @@ class LoginRequest:
     beta: bytes
     t1: int
 
-    def pack(self) -> bytes:
-        return concat(self.alpha, self.beta, ts_bytes(self.t1))
-
-    @staticmethod
-    def unpack(raw: bytes) -> "LoginRequest":
-        if len(raw) != LOGIN_REQUEST_LEN:
-            raise ValueError(f"login request must be {LOGIN_REQUEST_LEN} bytes")
-        return LoginRequest(raw[:32], raw[32:64], struct.unpack(">I", raw[64:68])[0])
-
 
 @dataclass(frozen=True)
 class LoginResponse:
     gamma: bytes
     sigma: bytes
     t2: int
-
-    def pack(self) -> bytes:
-        return concat(self.gamma, self.sigma, ts_bytes(self.t2))
-
-    @staticmethod
-    def unpack(raw: bytes) -> "LoginResponse":
-        if len(raw) != LOGIN_RESPONSE_LEN:
-            raise ValueError(f"login response must be {LOGIN_RESPONSE_LEN} bytes")
-        return LoginResponse(raw[:32], raw[32:64], struct.unpack(">I", raw[64:68])[0])
 
 
 @dataclass(frozen=True)
@@ -287,15 +267,6 @@ class UpdateRequest:
     tau: bytes
     t4: int
 
-    def pack(self) -> bytes:
-        return concat(self.uid, self.tau, ts_bytes(self.t4))
-
-    @staticmethod
-    def unpack(raw: bytes) -> "UpdateRequest":
-        if len(raw) != 68:
-            raise ValueError("update request must be 68 bytes")
-        return UpdateRequest(raw[:32], raw[32:64], struct.unpack(">I", raw[64:68])[0])
-
 
 @dataclass(frozen=True)
 class UpdateContext:
@@ -309,15 +280,6 @@ class DbUpdateRequest:
     id_j: bytes
     omega: bytes
     t6: int
-
-    def pack(self) -> bytes:
-        return concat(self.id_j, self.omega, ts_bytes(self.t6))
-
-    @staticmethod
-    def unpack(raw: bytes) -> "DbUpdateRequest":
-        if len(raw) != 52:
-            raise ValueError("db update request must be 52 bytes")
-        return DbUpdateRequest(raw[:16], raw[16:48], struct.unpack(">I", raw[48:52])[0])
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,15 @@ class _Handler(socketserver.StreamRequestHandler):
             except ProtocolError as exc:
                 reply = exc.kind
             try:
-                wire.write_frame(self.wfile, reply)
+                self._write(reply)
             except (ConnectionError, OSError):
                 return
+
+    def _write(self, reply: wire.Frame) -> None:
+        try:
+            wire.write_frame(self.wfile, reply)
+        except wire.CodecError as exc:  # a reply too big for one frame
+            wire.write_frame(self.wfile, f"CodecError: {exc}")
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):

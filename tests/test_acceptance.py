@@ -113,7 +113,7 @@ class TestCriterion06TamperExhaustion:
             server.trm, "srv00", server.location, req,
             t2=t1 + 1, delta_t=5, vt_duration=world.vt_duration_s,
         )
-        raw_req, raw_resp = req.pack(), resp.pack()
+        raw_req, raw_resp = wire.encode_body(req), wire.encode_body(resp)
 
         rejected = 0
         for bit in range(8 * len(raw_req)):
@@ -121,7 +121,7 @@ class TestCriterion06TamperExhaustion:
             mutated[bit // 8] ^= 1 << (bit % 8)
             try:
                 protocol.server_handle_login(
-                    server.trm, "srv00", server.location, LoginRequest.unpack(bytes(mutated)),
+                    server.trm, "srv00", server.location, wire.decode_body(LoginRequest, bytes(mutated)),
                     t2=t1 + 1, delta_t=5, vt_duration=world.vt_duration_s,
                 )
             except ProtocolError:
@@ -132,7 +132,7 @@ class TestCriterion06TamperExhaustion:
             mutated[bit // 8] ^= 1 << (bit % 8)
             try:
                 key = protocol.user_handle_response(
-                    ctx, LoginResponse.unpack(bytes(mutated)), t3=t1 + 2, delta_t=5
+                    ctx, wire.decode_body(LoginResponse, bytes(mutated)), t3=t1 + 2, delta_t=5
                 )
                 # flips inside the masked location half pass the response
                 # verifier but the derived keys cannot match

@@ -35,6 +35,7 @@ class TestDosBound:
         report = attack_dos(seed=0)
         assert report.acceptances == 0
         assert report.max_reject_hashes == 2
+        assert json.loads(report.to_json())["max_reject_hashes"] == 2
 
 
 class TestPasswordGuessing:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from maskap import cli
 from maskap.cli import build_parser, main
 
 
@@ -113,6 +114,18 @@ class TestAttackCommand:
     def test_unknown_name(self, capsys):
         assert main(["attack", "nonsense"]) == 2
         assert "unknown attack" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        assert main(["attack", "nonsense"]) == 2
+
+        def no_second_build():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_second_build)
+        assert main(["attack", "nonsense"]) == 2
+        assert main(["--json", "attack", "nonsense"]) == 2
 
 
 class TestReportingCommands:

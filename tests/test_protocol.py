@@ -531,18 +531,6 @@ class TestDbUpdatePhase:
 
 
 class TestWireWidths:
-    def test_login_request_68_bytes(self):
-        req = LoginRequest(alpha=b"\x01" * 32, beta=b"\x02" * 32, t1=7)
-        raw = req.pack()
-        assert len(raw) == 68
-        assert LoginRequest.unpack(raw) == req
-
-    def test_login_response_68_bytes(self):
-        resp = LoginResponse(gamma=b"\x03" * 32, sigma=b"\x04" * 32, t2=9)
-        raw = resp.pack()
-        assert len(raw) == 68
-        assert LoginResponse.unpack(raw) == resp
-
     def test_validity_16_bytes(self):
         vt = Validity16(expiry=1_700_000_900, duration_s=900)
         raw = vt.pack()

@@ -164,3 +164,32 @@ class TestRcRole:
         finally:
             srv.shutdown()
             srv.server_close()
+
+    def test_reply_too_big_for_a_frame_gets_error_and_connection_survives(self):
+        world = build_world(seed=21, n_servers=64, n_users=1)
+        app = service.RcApp(rc=world.rc, now_fn=lambda: world.clock.now)
+        srv = service.start_server(app)
+        service.serve_forever_in_thread(srv)
+        try:
+            user = world.users["user00"]
+            update, _ctx = protocol.user_update_begin(
+                user.user_id, user.password, user.card, t4=world.clock.now
+            )
+            sim = world.servers["srv00"]
+            sync = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=world.clock.now)
+            sock, stream = connect(srv)
+            try:
+                # 64 server entries make a 4,097-byte list payload frame
+                wire.write_frame(stream, update)
+                msg_type, reply = wire.decode_frame(wire.read_frame(stream))
+                assert msg_type == wire.MSG_ERROR
+                assert "exceeds" in reply
+                wire.write_frame(stream, sync)
+                msg_type, delta = wire.decode_frame(wire.read_frame(stream))
+                assert msg_type == wire.MSG_USER_LIST_DELTA
+                assert delta.entries == ()
+            finally:
+                sock.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 
@@ -74,6 +75,92 @@ class TestFrameCodec:
     def test_login_request_round_trip_property(self, alpha, beta, t1):
         msg = LoginRequest(alpha=alpha, beta=beta, t1=t1)
         assert decode_frame(encode_frame(msg))[1] == msg
+
+
+FIXED_SAMPLES = SAMPLE_FRAMES[:4]
+WRONG_WIDTHS = [
+    pytest.param(msg, name, width, id=f"{type(msg).__name__}.{name}-{width}")
+    for msg in FIXED_SAMPLES
+    for name, value in dataclasses.asdict(msg).items()
+    if isinstance(value, bytes)
+    for width in (len(value) - 1, len(value) + 1)
+]
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize(
+        "cls, size",
+        [(LoginRequest, 68), (LoginResponse, 68), (UpdateRequest, 68), (DbUpdateRequest, 52)],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_fixed_body_size_is_sum_of_widths(self, cls, size):
+        row = wire.layout(cls)
+        assert row.size == sum(width for _, width in row.fields) == size
+        assert len(wire.encode_body(next(m for m in FIXED_SAMPLES if type(m) is cls))) == size
+
+    def test_login_request_spans(self):
+        assert wire.layout(LoginRequest).spans == {"alpha": (0, 32), "beta": (32, 64), "t1": (64, 68)}
+
+    def test_every_frame_type_once(self):
+        assert sorted(row.msg_type for row in wire.FRAMES) == [
+            wire.MSG_LOGIN_REQUEST, wire.MSG_LOGIN_RESPONSE, wire.MSG_UPDATE_REQUEST,
+            wire.MSG_DB_UPDATE_REQUEST, wire.MSG_LIST_PAYLOAD, wire.MSG_USER_LIST_DELTA,
+            wire.MSG_ERROR,
+        ]
+
+
+class TestStrictEncoding:
+    @pytest.mark.parametrize("msg, name, width", WRONG_WIDTHS)
+    def test_wrong_field_width(self, msg, name, width):
+        bad = dataclasses.replace(msg, **{name: b"\x00" * width})
+        with pytest.raises(CodecError, match=type(msg).__name__):
+            encode_frame(bad)
+        with pytest.raises(CodecError):
+            wire.encode_body(bad)
+
+    @pytest.mark.parametrize("t1", [2**32, -1])
+    def test_timestamp_outside_u32(self, t1):
+        with pytest.raises(CodecError):
+            encode_frame(dataclasses.replace(SAMPLE_FRAMES[0], t1=t1))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((b"\x01" * 31, b"\x02" * 33),),
+            ((b"\x01" * 32, b"\x02" * 32), (b"\x03" * 33, b"\x04" * 31)),
+            ((b"\x01" * 32, b"\x02" * 32, b"\x03" * 32),),
+            ((b"\x01" * 32,),),
+            (("x" * 32, "y" * 32),),
+        ],
+    )
+    def test_user_list_delta_row_width(self, entries):
+        with pytest.raises(CodecError):
+            encode_frame(UserListDelta(entries=entries))
+
+    @pytest.mark.parametrize("size", [0, 63, 65])
+    def test_list_payload_width(self, size):
+        with pytest.raises(CodecError):
+            encode_frame(b"\x00" * size)
+
+    def test_wrong_type_in_field(self):
+        with pytest.raises(CodecError):
+            encode_frame(dataclasses.replace(SAMPLE_FRAMES[0], alpha="a" * 32))
+        with pytest.raises(CodecError):
+            encode_frame(dataclasses.replace(SAMPLE_FRAMES[0], t1=1.5))
+
+
+class TestWireWidths:
+    def test_login_request_68_bytes(self):
+        req = LoginRequest(alpha=b"\x01" * 32, beta=b"\x02" * 32, t1=7)
+        raw = wire.encode_body(req)
+        assert len(raw) == 68
+        assert wire.decode_body(LoginRequest, raw) == req
+
+    def test_login_response_68_bytes(self):
+        resp = LoginResponse(gamma=b"\x03" * 32, sigma=b"\x04" * 32, t2=9)
+        raw = wire.encode_body(resp)
+        assert len(raw) == 68
+        assert wire.decode_body(LoginResponse, raw) == resp
 
 
 class TestStreamFraming:
