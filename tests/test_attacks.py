@@ -30,6 +30,43 @@ class TestScenarioSuite:
         assert isinstance(doc["notes"], list)
 
 
+# (attempts, acceptances, notes) of every scenario in run_all(seed=0).
+PINNED_SEED0 = {
+    "user-impersonation": (1013, 0, [
+        "insider recovers victim uid from alpha; forgery still requires the victim's c",
+        "insider's own credentials accepted (legitimate login)",
+        "within-window verbatim replay answered, but adversary cannot derive the key",
+    ]),
+    "server-impersonation": (204, 0, ["honest-forward control session accepted"]),
+    "session-key-disclosure": (8, 0, [
+        "adversary holds uid, server id/loc, and the policy-derived validity window",
+    ]),
+    "stolen-smart-card": (10003, 0, [
+        "10000 wrong-password login attempts with the stolen card all rejected",
+    ]),
+    "modification": (120, 0, []),
+    "password-guessing": (1000, 0, ["0/1000 guesses confirmed; binomial tail p-value 1.000"]),
+    "mitm": (51, 0, ["gamma unmasked with a wrong per-user secret yields no valid window"]),
+    "forward-secrecy": (171, 0, [
+        "adversary holds one revealed session key plus both public transcripts",
+    ]),
+    "replay": (203, 0, [
+        "within-window verbatim duplicates are only rejected with the optional seen-request cache",
+    ]),
+    "insider": (204, 0, [
+        "insider knowledge: own card/credentials plus unmasked server list entries",
+    ]),
+    "dos": (100, 0, ["server hash cost before rejecting a forged request: [2]"]),
+}
+
+
+class TestPinnedReports:
+    def test_run_all_seed0_reports(self):
+        reports = run_all(seed=0)
+        got = {name: (r.attempts, r.acceptances, r.notes) for name, r in reports.items()}
+        assert got == PINNED_SEED0
+
+
 class TestDosBound:
     def test_reject_cost_is_two_hashes(self):
         report = attack_dos(seed=0)
