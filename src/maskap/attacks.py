@@ -52,12 +52,20 @@ def default_world(seed: int = 0) -> World:
 class _InsiderView:
     """Everything a registered user legitimately knows about the system."""
 
-    user_id: str
-    password: str
     card: protocol.SmartCard
     uid: bytes
     c: bytes
     entries: list[protocol.ServerListEntry]
+
+    def entry(self, server_id: str) -> protocol.ServerListEntry:
+        """The insider's unmasked card entry for `server_id`: its id, key and location."""
+        idb = encode_field(server_id)
+        return next(s for s in self.entries if s.id_j == idb)
+
+
+def _alpha_mask(entry: protocol.ServerListEntry, t: int) -> bytes:
+    """The mask over uid in a request's alpha, computable by anyone holding the entry."""
+    return sha256(entry.id_j + entry.ssk_j + ts_bytes(t))
 
 
 def _insider(world: World, user_id: str) -> _InsiderView:
@@ -68,8 +76,6 @@ def _insider(world: World, user_id: str) -> _InsiderView:
     c = protocol._recover_c(idb, pwb, opened.r1, opened.r2, user.card.x)
     raw = protocol._unmask_server_list(idb, pwb, opened.r1, opened.r2, user.card.z)
     return _InsiderView(
-        user_id=user_id,
-        password=user.password,
         card=user.card,
         uid=opened.uid,
         c=c,
@@ -106,12 +112,12 @@ def attack_user_impersonation(world: World | None = None, seed: int = 0) -> Atta
     victim, insider_id, server_id = "user00", "user01", "srv00"
     _, victim_req, victim_resp = _capture_session(world, victim, server_id)
     insider = _insider(world, insider_id)
-    entry = next(s for s in insider.entries if s.id_j == encode_field(server_id))
+    entry = insider.entry(server_id)
 
     # A registered insider recovers the victim's anonymous identity from the
     # captured request mask (it knows the server key), but lacks the victim's
     # per-user secret needed for the request verifier.
-    victim_uid = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(victim_req.t1)), victim_req.alpha)
+    victim_uid = xor(_alpha_mask(entry, victim_req.t1), victim_req.alpha)
     report.note("insider recovers victim uid from alpha; forgery still requires the victim's c")
 
     uid_candidates = [insider.uid, victim_uid]
@@ -120,7 +126,7 @@ def attack_user_impersonation(world: World | None = None, seed: int = 0) -> Atta
     t = world.clock.now
     for uid in uid_candidates:
         for c in c_candidates:
-            alpha = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(t)), uid)
+            alpha = xor(_alpha_mask(entry, t), uid)
             beta = sha256(uid + entry.ssk_j + c + ts_bytes(t))
             req = LoginRequest(alpha=alpha, beta=beta, t1=t)
             report.attempts += 1
@@ -175,7 +181,7 @@ def attack_server_impersonation(world: World | None = None, seed: int = 0) -> At
     report = AttackReport("server_impersonation")
     victim, server_id = "user00", "srv00"
     insider = _insider(world, "user01")
-    entry = next(s for s in insider.entries if s.id_j == encode_field(server_id))
+    entry = insider.entry(server_id)
 
     control = world.run_honest_session(victim, server_id, delta_t=5)
     assert control.accepted
@@ -184,7 +190,7 @@ def attack_server_impersonation(world: World | None = None, seed: int = 0) -> At
     user = world.users[victim]
     t1 = world.clock.now
     req, ctx = protocol.user_login_begin(user.user_id, user.password, user.card, server_id, t1)
-    victim_uid = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(t1)), req.alpha)
+    victim_uid = xor(_alpha_mask(entry, t1), req.alpha)
     t2 = t1 + world.latency_s
 
     rng = random.Random(seed + 2)
@@ -218,8 +224,8 @@ def attack_session_key_disclosure(world: World | None = None, seed: int = 0) -> 
     real_sk = outcome.session_keys[0].sk
     real_vt = outcome.session_keys[0].vt
     insider = _insider(world, "user01")
-    entry = next(s for s in insider.entries if s.id_j == encode_field(server_id))
-    victim_uid = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(req.t1)), req.alpha)
+    entry = insider.entry(server_id)
+    victim_uid = xor(_alpha_mask(entry, req.t1), req.alpha)
 
     # Insider knows uid, server identity/location, and can reconstruct the
     # validity window from the issuing policy; only the per-user secret c is
@@ -245,7 +251,6 @@ def attack_stolen_smart_card(world: World | None = None, seed: int = 0) -> Attac
     report = AttackReport("stolen_smart_card")
     victim, server_id = "user00", "srv00"
     card = world.users[victim].card
-    rng = random.Random(seed + 3)
 
     guesses = 10_000
     for i in range(guesses):
@@ -363,8 +368,8 @@ def attack_mitm(world: World | None = None, seed: int = 0) -> AttackReport:
     # passive interception: the masked validity/location never opens without c
     _, req, resp = _capture_session(world, "user00", "srv00")
     insider = _insider(world, "user01")
-    entry = next(s for s in insider.entries if s.id_j == encode_field("srv00"))
-    victim_uid = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(req.t1)), req.alpha)
+    entry = insider.entry("srv00")
+    victim_uid = xor(_alpha_mask(entry, req.t1), req.alpha)
     unmask_guess = xor(resp.gamma, sha256(insider.c + victim_uid + entry.id_j + req.beta))
     report.attempts += 1
     try:
@@ -471,9 +476,9 @@ def attack_insider(world: World | None = None, seed: int = 0) -> AttackReport:
     report = AttackReport("insider")
     victim, server_id = "user00", "srv00"
     insider = _insider(world, "user01")
-    entry = next(s for s in insider.entries if s.id_j == encode_field(server_id))
+    entry = insider.entry(server_id)
     _, req, resp = _capture_session(world, victim, server_id)
-    victim_uid = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(req.t1)), req.alpha)
+    victim_uid = xor(_alpha_mask(entry, req.t1), req.alpha)
     report.note("insider knowledge: own card/credentials plus unmasked server list entries")
 
     rng = random.Random(seed + 6)
@@ -482,7 +487,7 @@ def attack_insider(world: World | None = None, seed: int = 0) -> AttackReport:
         rng.randbytes(32) for _ in range(200)
     ]
     for c_guess in c_candidates:
-        alpha = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(t)), victim_uid)
+        alpha = xor(_alpha_mask(entry, t), victim_uid)
         beta = sha256(victim_uid + entry.ssk_j + c_guess + ts_bytes(t))
         report.attempts += 1
         try:
@@ -503,7 +508,7 @@ def attack_dos(world: World | None = None, seed: int = 0) -> AttackReport:
     report = AttackReport("denial_of_service")
     server_id = "srv00"
     insider = _insider(world, "user01")
-    entry = next(s for s in insider.entries if s.id_j == encode_field(server_id))
+    entry = insider.entry(server_id)
     rng = random.Random(seed + 7)
 
     hash_costs = []
@@ -511,7 +516,7 @@ def attack_dos(world: World | None = None, seed: int = 0) -> AttackReport:
         t = world.clock.now
         # freshness passes and the uid resolves, so the server is driven as
         # deep as the request verifier before it can reject
-        alpha = xor(sha256(entry.id_j + entry.ssk_j + ts_bytes(t)), insider.uid)
+        alpha = xor(_alpha_mask(entry, t), insider.uid)
         forged = LoginRequest(alpha=alpha, beta=rng.randbytes(32), t1=t)
         counter = HashCounter()
         report.attempts += 1
