@@ -3,7 +3,7 @@
 Library layers: byte primitives (core), phase state machines (protocol),
 persistence (registry), deterministic adversarial simulation (netsim),
 scripted attack scenarios (attacks), wire codec and socket service
-(wire / service), and cost accounting (metrics).
+(wire / service), and the operator's command line (cli).
 """
 
 from .core import HashCounter, LengthMismatch, FieldTooLong, concat, keystream_mask, sha256, xor
@@ -23,6 +23,7 @@ from .protocol import (
     StaleRequest,
     StaleResponse,
     TamperResistantMemory,
+    TooManyServers,
     UnknownServer,
     UnknownUser,
     Validity16,

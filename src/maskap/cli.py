@@ -9,7 +9,7 @@ import random
 import sys
 import time
 
-from . import attacks, metrics, protocol, registry, service, wire
+from . import attacks, protocol, registry, service
 from .core import FieldEncodingError, FieldTooLong
 from .protocol import ProtocolError
 from .registry import CorruptRecord
@@ -172,52 +172,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if rep.acceptances == 0 else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    reports = metrics.measure_costs(seed=seed, n_servers=args.servers, delta_t=args.delta_t)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
-    else:
-        for r in reports:
-            parts = [f"{r.phase}: hashes={r.hash_count}"]
-            if r.keystream_hashes:
-                parts.append(f"keystream={r.keystream_hashes}")
-            if r.wire_bytes is not None:
-                parts.append(f"wire={r.wire_bytes}B")
-            if r.storage_bytes is not None:
-                parts.append(f"storage={r.storage_bytes}B")
-            if r.wall_time_ms is not None:
-                parts.append(f"median={r.wall_time_ms:.4f}ms")
-            print("  ".join(parts))
-            if r.notes:
-                print(f"    {r.notes}")
-    return 0
-
-
-def cmd_sizes(args: argparse.Namespace) -> int:
-    rows = []
-    for n in (1, 2, 3, 4, 5):
-        rows.append({"servers": n, "card_bytes": metrics.card_storage_bytes(n)})
-    request = wire.layout(protocol.LoginRequest).size
-    response = wire.layout(protocol.LoginResponse).size
-    doc = {
-        "login_request_bytes": request,
-        "login_response_bytes": response,
-        "auth_total_bytes": request + response,
-        "card_storage": rows,
-        "published_card_bytes": metrics.PAPER_CARD_STORAGE_BYTES,
-        "note": "published card figure counts five digests; the masked server list adds 64 bytes per server",
-    }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"login exchange: {request} + {response} = {request + response} bytes")
-        for row in rows:
-            print(f"card with {row['servers']} server(s): {row['card_bytes']} bytes")
-        print(f"published card figure: {metrics.PAPER_CARD_STORAGE_BYTES} bytes ({doc['note']})")
-    return 0
-
-
 def _bind_address(text: str) -> tuple[str, int]:
     """`--bind host:port`; an empty host is 127.0.0.1 and an empty port 0."""
     host, _, port = text.partition(":")
@@ -302,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a scripted attack scenario")
     p.add_argument("name", help="scenario name or 'all'")
     p.set_defaults(fn=cmd_attack)
-
-    p = common(sub.add_parser("bench", help="cost report for one deployment"), "window")
-    p.add_argument("--servers", type=int, default=1)
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("sizes", help="wire and storage sizes")
-    p.set_defaults(fn=cmd_sizes)
 
     p = common(sub.add_parser("serve", help="speak the wire format on a socket"), "window")
     p.add_argument("--role", choices=("rc", "server"), required=True)

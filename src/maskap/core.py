@@ -17,6 +17,7 @@ DIGEST_LEN = 32
 NONCE_LEN = 16
 FIELD_LEN = 16
 TS_LEN = 4
+MAX_FRAME_LEN = 4096  # one wire frame, its type byte included
 
 
 class LengthMismatch(ValueError):
@@ -39,8 +40,7 @@ class HashCounter:
     are exempt from the per-phase operation counts used for cost reports.
 
     Counters are activated per execution context (contextvars), so
-    concurrent contexts each accumulate into their own active counter;
-    merge() combines counters accumulated in parallel.
+    concurrent contexts each accumulate into their own active counter.
     """
 
     def __init__(self) -> None:
@@ -73,14 +73,6 @@ class HashCounter:
     def keystream_count(self, label: str) -> int:
         return self.keystream.get(label, 0)
 
-    def total(self) -> int:
-        return sum(self.phases.values())
-
-    def merge(self, other: "HashCounter") -> None:
-        for k, v in other.phases.items():
-            self.phases[k] = self.phases.get(k, 0) + v
-        for k, v in other.keystream.items():
-            self.keystream[k] = self.keystream.get(k, 0) + v
 
 
 _ACTIVE: contextvars.ContextVar[HashCounter | None] = contextvars.ContextVar(

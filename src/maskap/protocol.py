@@ -15,6 +15,7 @@ from typing import Protocol as _Proto
 from .core import (
     DIGEST_LEN,
     FIELD_LEN,
+    MAX_FRAME_LEN,
     NONCE_LEN,
     concat,
     encode_field,
@@ -26,6 +27,8 @@ from .core import (
 )
 
 SERVER_ENTRY_LEN = FIELD_LEN + DIGEST_LEN + FIELD_LEN  # 64
+# The whole server list travels in one frame, after its one-byte type.
+MAX_SERVERS = (MAX_FRAME_LEN - 1) // SERVER_ENTRY_LEN  # 63
 VALIDITY_LEN = 16
 DEFAULT_VT_DURATION = 900
 
@@ -68,6 +71,10 @@ class DuplicateServerId(ProtocolError):
 
 class DuplicateUid(ProtocolError):
     pass
+
+
+class TooManyServers(ProtocolError):
+    """Another entry would make the server list too long for one frame."""
 
 
 class NoServersRegistered(ProtocolError):
@@ -118,10 +125,6 @@ class TamperResistantMemory:
     p_j: bytes
     list_uid: set[bytes]
     list_c: dict[bytes, bytes]
-
-    def check(self) -> None:
-        if self.list_uid != set(self.list_c):
-            raise ValueError("list_uid and list_c key set diverge")
 
 
 @dataclass(frozen=True)
@@ -308,6 +311,8 @@ def server_register_begin(
 def rc_register_server(rc: RcState, req: RegRequest, srt_j: int) -> TamperResistantMemory:
     if req.id_j in rc.servers:
         raise DuplicateServerId(f"server id already registered")
+    if len(rc.servers) >= MAX_SERVERS:
+        raise TooManyServers(f"a deployment holds at most {MAX_SERVERS} servers")
     ssk_j = sha256(concat(rc.k_rc, req.p_j, ts_bytes(srt_j)))
     rc.servers[req.id_j] = ServerRecord(ssk_j=ssk_j, q_j=req.q_j, loc_j=req.loc_j, srt_j=srt_j)
     rc.sync_markers[req.id_j] = len(rc.users)

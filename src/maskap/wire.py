@@ -13,7 +13,7 @@ import struct
 from itertools import accumulate
 from typing import BinaryIO
 
-from .core import DIGEST_LEN, FIELD_LEN, TS_LEN
+from .core import DIGEST_LEN, FIELD_LEN, MAX_FRAME_LEN, TS_LEN
 from .protocol import (
     SERVER_ENTRY_LEN,
     DbUpdateRequest,
@@ -30,8 +30,6 @@ MSG_DB_UPDATE_REQUEST = 0x04
 MSG_LIST_PAYLOAD = 0x05
 MSG_USER_LIST_DELTA = 0x06
 MSG_ERROR = 0x7F
-
-MAX_FRAME_LEN = 4096
 
 Frame = LoginRequest | LoginResponse | UpdateRequest | DbUpdateRequest | UserListDelta | bytes | str
 

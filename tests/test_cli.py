@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from maskap import cli
+from maskap import cli, registry
 from maskap.cli import build_parser, main
+from maskap.netsim import build_world
+from maskap.protocol import MAX_SERVERS
 
 
 @pytest.fixture
@@ -128,21 +130,6 @@ class TestParserReuse:
         assert main(["--json", "attack", "nonsense"]) == 2
 
 
-class TestReportingCommands:
-    def test_sizes_json(self, capsys):
-        assert main(["--json", "sizes"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["auth_total_bytes"] == 136
-        assert doc["card_storage"][0] == {"servers": 1, "card_bytes": 192}
-
-    def test_bench_json(self, capsys):
-        assert main(["--json", "--seed", "0", "bench"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        by_phase = {r["phase"]: r for r in rows}
-        assert by_phase["authentication"]["hash_count"] == 20
-        assert by_phase["authentication"]["wire_bytes"] == 136
-
-
 class TestBadInput:
     """Bad input exits 2 with a one-line typed message, never a traceback."""
 
@@ -190,6 +177,22 @@ class TestBadInput:
         monkeypatch.setenv("MASKAP_SEED", "abc")
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: CliError: MASKAP_SEED='abc' is not an integer\n"
+
+    @pytest.mark.parametrize("command", ["bench", "sizes"])
+    def test_removed_reporting_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_server_beyond_the_frame_limit(self, paths, capsys):
+        world = build_world(seed=5, n_servers=MAX_SERVERS, n_users=0)
+        registry.store_rc(world.rc, paths["rc"])
+        code = main(["register-server", "--rc", paths["rc"], "--trm", paths["trm"],
+                     "--id", "hosp64", "--pw", "srvpass", "--loc", "goa"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: TooManyServers: ")
+        assert len(registry.load_rc(paths["rc"]).servers) == MAX_SERVERS
 
     @pytest.mark.parametrize("key,value", [("users", 5), ("users", ["x"]), ("servers", [1]),
                                            ("sync_markers", [])])

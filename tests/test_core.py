@@ -48,17 +48,6 @@ class TestHash:
             sha256(b"y")
         sha256(b"uncounted")
         assert counter.count("p") == 2
-        assert counter.total() == 2
-
-    def test_counter_merge(self):
-        a, b = HashCounter(), HashCounter()
-        with a.phase("p"):
-            sha256(b"1")
-        with b.phase("p"):
-            sha256(b"2")
-            sha256(b"3")
-        a.merge(b)
-        assert a.count("p") == 3
 
 
 class TestXor:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskap import protocol
+from maskap import protocol, wire
 from maskap.core import HashCounter, encode_field, sha256, ts_bytes, xor
 from maskap.protocol import (
     AuthFail,
@@ -19,6 +19,7 @@ from maskap.protocol import (
     ServerListEntry,
     StaleRequest,
     StaleResponse,
+    TooManyServers,
     UnknownServer,
     UnknownUser,
     Validity16,
@@ -101,6 +102,18 @@ class TestServerRegistration:
         protocol.rc_register_server(rc, reg, srt_j=SRT)
         with pytest.raises(DuplicateServerId):
             protocol.rc_register_server(rc, reg, srt_j=SRT + 1)
+
+    def test_server_limit_fills_one_frame(self):
+        rc = RcState(k_rc=K_RC)
+        for j in range(protocol.MAX_SERVERS):
+            _, reg = protocol.server_register_begin(f"s{j}", "p", "l", FixedRng(R_S))
+            protocol.rc_register_server(rc, reg, srt_j=SRT)
+        assert protocol.MAX_SERVERS == 63
+        assert 1 + len(protocol.server_list_bytes(rc)) <= wire.MAX_FRAME_LEN
+        _, reg = protocol.server_register_begin("s63", "p", "l", FixedRng(R_S))
+        with pytest.raises(TooManyServers):
+            protocol.rc_register_server(rc, reg, srt_j=SRT)
+        assert len(rc.servers) == protocol.MAX_SERVERS and reg.id_j not in rc.sync_markers
 
     def test_fresh_rc_trm_lists_empty(self):
         rc = RcState(k_rc=K_RC)

@@ -165,29 +165,57 @@ class TestRcRole:
             srv.shutdown()
             srv.server_close()
 
-    def test_reply_too_big_for_a_frame_gets_error_and_connection_survives(self):
-        world = build_world(seed=21, n_servers=64, n_users=1)
+    def test_card_update_with_the_most_servers(self):
+        world = build_world(seed=22, n_servers=1, n_users=1)
+        for j in range(1, protocol.MAX_SERVERS):
+            world.register_server(f"srv{j:02d}", f"spw{j:02d}", f"loc{j:02d}")
         app = service.RcApp(rc=world.rc, now_fn=lambda: world.clock.now)
         srv = service.start_server(app)
         service.serve_forever_in_thread(srv)
         try:
             user = world.users["user00"]
+            req, _ctx = protocol.user_update_begin(
+                user.user_id, user.password, user.card, t4=world.clock.now
+            )
+            sock, stream = connect(srv)
+            try:
+                wire.write_frame(stream, req)
+                msg_type, payload = wire.decode_frame(wire.read_frame(stream))
+                assert msg_type == wire.MSG_LIST_PAYLOAD
+                assert len(payload) == protocol.MAX_SERVERS * protocol.SERVER_ENTRY_LEN
+            finally:
+                sock.close()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        user.card = protocol.user_apply_server_list(user.user_id, user.password, user.card, payload)
+        assert world.run_honest_session("user00", "srv62", delta_t=5).accepted
+
+    def test_reply_too_big_for_a_frame_gets_error_and_connection_survives(self):
+        world = build_world(seed=21, n_servers=1, n_users=1)
+        for i in range(64):
+            world.register_user(f"late{i:02d}", f"pw{i:02d}")
+        app = service.RcApp(rc=world.rc, now_fn=lambda: world.clock.now)
+        srv = service.start_server(app)
+        service.serve_forever_in_thread(srv)
+        try:
+            sim = world.servers["srv00"]
+            sync = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=world.clock.now)
+            user = world.users["user00"]
             update, _ctx = protocol.user_update_begin(
                 user.user_id, user.password, user.card, t4=world.clock.now
             )
-            sim = world.servers["srv00"]
-            sync = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=world.clock.now)
             sock, stream = connect(srv)
             try:
-                # 64 server entries make a 4,097-byte list payload frame
-                wire.write_frame(stream, update)
+                # a delta of 64 users makes a 4,097-byte user list delta frame
+                wire.write_frame(stream, sync)
                 msg_type, reply = wire.decode_frame(wire.read_frame(stream))
                 assert msg_type == wire.MSG_ERROR
                 assert "exceeds" in reply
-                wire.write_frame(stream, sync)
-                msg_type, delta = wire.decode_frame(wire.read_frame(stream))
-                assert msg_type == wire.MSG_USER_LIST_DELTA
-                assert delta.entries == ()
+                wire.write_frame(stream, update)
+                msg_type, payload = wire.decode_frame(wire.read_frame(stream))
+                assert msg_type == wire.MSG_LIST_PAYLOAD
+                assert payload == protocol.server_list_bytes(world.rc)
             finally:
                 sock.close()
         finally:
