@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import protocol, wire
 from .core import HashCounter, encode_field, sha256, ts_bytes, xor
-from .netsim import Delay, ModifyBit, Replay, World, build_world
+from .netsim import ModifyBit, Replay, World, build_world
 from .protocol import (
     AuthFail,
     BadCredentials,
