@@ -74,7 +74,6 @@ class HashCounter:
         return self.keystream.get(label, 0)
 
 
-
 _ACTIVE: contextvars.ContextVar[HashCounter | None] = contextvars.ContextVar(
     "maskap_hash_counter", default=None
 )
