@@ -138,15 +138,20 @@ def cmd_sync_server(args: argparse.Namespace) -> int:
         p_j=trm.p_j,
         loc_j=rec.loc_j,
     )
-    req = protocol.server_db_update_begin(secrets, trm.ssk_j, t6=_now())
-    delta = protocol.rc_handle_db_update(rc, req, t7=_now(), delta_t=args.delta_t)
-    protocol.apply_user_list_delta(trm, delta)
+    new_users = 0
+    while True:  # one page per exchange, until a short one
+        req = protocol.server_db_update_begin(secrets, trm.ssk_j, t6=_now())
+        delta = protocol.rc_handle_db_update(rc, req, t7=_now(), delta_t=args.delta_t)
+        protocol.apply_user_list_delta(trm, delta)
+        new_users += len(delta.entries)
+        if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
+            break
     registry.store_rc(rc, args.rc)
     registry.store_trm(trm, args.trm, server_id=server_id, server_loc=server_loc)
     _emit(
         args,
-        {"server_id": server_id, "new_users": len(delta.entries)},
-        f"synced {len(delta.entries)} new user(s) into {args.trm}",
+        {"server_id": server_id, "new_users": new_users},
+        f"synced {new_users} new user(s) into {args.trm}",
     )
     return 0
 

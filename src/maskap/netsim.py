@@ -270,15 +270,21 @@ class World:
         return sim
 
     def advance_and_sync(self, d_s: int, delta_t: int = 5) -> None:
-        """Advance the clock, then run the database-update exchange for every server."""
+        """Advance the clock, then sync every server, one database-update page at a time."""
         self.clock.advance(d_s)
+        now = self.clock.now
         for sim in self.servers.values():
-            req = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=self.clock.now)
-            delta = protocol.rc_handle_db_update(self.rc, req, t7=self.clock.now, delta_t=delta_t)
-            protocol.apply_user_list_delta(sim.trm, delta)
+            synced = 0
+            while True:
+                req = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=now)
+                delta = protocol.rc_handle_db_update(self.rc, req, t7=now, delta_t=delta_t)
+                protocol.apply_user_list_delta(sim.trm, delta)
+                synced += len(delta.entries)
+                if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
+                    break
             self.secure_log.append(
-                {"time": self.clock.now, "channel": "secure", "kind": "db_sync",
-                 "peer": sim.server_id, "delta": len(delta.entries)}
+                {"time": now, "channel": "secure", "kind": "db_sync",
+                 "peer": sim.server_id, "delta": synced}
             )
 
     # -- card maintenance (secure channel) ----------------------------------

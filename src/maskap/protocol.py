@@ -10,6 +10,7 @@ from __future__ import annotations
 import hmac
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Protocol as _Proto
 
 from .core import (
@@ -29,6 +30,8 @@ from .core import (
 SERVER_ENTRY_LEN = FIELD_LEN + DIGEST_LEN + FIELD_LEN  # 64
 # The whole server list travels in one frame, after its one-byte type.
 MAX_SERVERS = (MAX_FRAME_LEN - 1) // SERVER_ENTRY_LEN  # 63
+# A database-update delta is one frame too: its type byte, then (uid, c) pairs.
+MAX_DELTA_ENTRIES = (MAX_FRAME_LEN - 1) // (2 * DIGEST_LEN)  # 63
 VALIDITY_LEN = 16
 DEFAULT_VT_DURATION = 900
 
@@ -123,8 +126,7 @@ class RegRequest:
 class TamperResistantMemory:
     ssk_j: bytes
     p_j: bytes
-    list_uid: set[bytes]
-    list_c: dict[bytes, bytes]
+    list_c: dict[bytes, bytes]  # uid -> c; its keys are the paper's list of uids
 
 
 @dataclass(frozen=True)
@@ -316,12 +318,7 @@ def rc_register_server(rc: RcState, req: RegRequest, srt_j: int) -> TamperResist
     ssk_j = sha256(concat(rc.k_rc, req.p_j, ts_bytes(srt_j)))
     rc.servers[req.id_j] = ServerRecord(ssk_j=ssk_j, q_j=req.q_j, loc_j=req.loc_j, srt_j=srt_j)
     rc.sync_markers[req.id_j] = len(rc.users)
-    return TamperResistantMemory(
-        ssk_j=ssk_j,
-        p_j=req.p_j,
-        list_uid=set(rc.users),
-        list_c=dict(rc.users),
-    )
+    return TamperResistantMemory(ssk_j=ssk_j, p_j=req.p_j, list_c=dict(rc.users))
 
 
 def server_list_bytes(rc: RcState) -> bytes:
@@ -598,6 +595,10 @@ def server_db_update_begin(secrets: ServerSecrets, ssk_j: bytes, t6: int) -> DbU
 
 
 def rc_handle_db_update(rc: RcState, req: DbUpdateRequest, t7: int, delta_t: int) -> UserListDelta:
+    """The next page of at most MAX_DELTA_ENTRIES users registered after the
+    server's sync marker, which moves past them.  A shorter page is the last:
+    a server repeats the exchange until it gets one.
+    """
     if not _fresh(req.t6, t7, delta_t):
         raise StaleRequest(f"db update request aged {t7 - req.t6}s, window {delta_t}s")
     rec = rc.servers.get(req.id_j)
@@ -607,12 +608,10 @@ def rc_handle_db_update(rc: RcState, req: DbUpdateRequest, t7: int, delta_t: int
     if not hmac.compare_digest(omega_check, req.omega):
         raise AuthFail("db update request verifier mismatch")
     marker = rc.sync_markers.get(req.id_j, 0)
-    new_uids = list(rc.users)[marker:]
-    rc.sync_markers[req.id_j] = len(rc.users)
-    return UserListDelta(entries=tuple((uid, rc.users[uid]) for uid in new_uids))
+    page = tuple(islice(rc.users.items(), marker, marker + MAX_DELTA_ENTRIES))
+    rc.sync_markers[req.id_j] = marker + len(page)
+    return UserListDelta(entries=page)
 
 
 def apply_user_list_delta(trm: TamperResistantMemory, delta: UserListDelta) -> None:
-    for uid, c in delta.entries:
-        trm.list_uid.add(uid)
-        trm.list_c[uid] = c
+    trm.list_c.update(delta.entries)

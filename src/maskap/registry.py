@@ -1,7 +1,8 @@
 """File persistence for RC state, tamper-resistant memories, and smart cards.
 
 JSON documents with lowercase-hex byte fields and a version tag, written
-compact with sorted keys.  Writes go through a temp file that is fsynced,
+compact with sorted keys: user rows from one string template each, every
+other value by the C encoder.  Writes go through a temp file that is fsynced,
 renamed over the target, and made durable with an fsync of the directory, so
 readers always see whole snapshots and a crash keeps the old or the new one.
 Loaders accept any JSON layout, the indented files of earlier versions too.
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterator
 
 from .core import DIGEST_LEN, FIELD_LEN
@@ -29,24 +32,50 @@ ROW_BATCH = 256
 # `json.dump` always runs the pure-Python encoder; `encode` uses the C one.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# One user row as `_encode` writes it, keys sorted.  `bytes.hex` yields only
+# [0-9a-f], so the values need no JSON escaping.
+_USER_ROW = '{"c":"%s","uid":"%s"}'
+
 
 class CorruptRecord(Exception):
     """A persisted record failed width, uniqueness, shape, or format validation."""
 
 
+@dataclass(frozen=True)
+class _UserRows:
+    """A uid -> c map, stored as the list of its ``{"c", "uid"}`` rows in map order."""
+
+    users: dict[bytes, bytes]
+
+    def batches(self) -> Iterator[str]:
+        """The rows, ROW_BATCH at a time, each batch comma-joined without brackets."""
+        items = iter(self.users.items())
+        while batch := list(islice(items, ROW_BATCH)):
+            yield ",".join([_USER_ROW % (c.hex(), uid.hex()) for uid, c in batch])
+
+
+def _list_batches(value: list) -> Iterator[str]:
+    for start in range(0, len(value), ROW_BATCH):
+        # Strip the batch's own brackets; the list's are written around them.
+        yield _encode(value[start : start + ROW_BATCH])[1:-1]
+
+
 def _chunks(doc: dict) -> Iterator[str]:
-    """`_encode(doc)` in pieces: each top-level list goes out ROW_BATCH rows at a time."""
+    """`_encode(doc)` in pieces: each list and `_UserRows` goes out a batch of rows at a time."""
     yield "{"
     for i, key in enumerate(sorted(doc)):
         yield ("," if i else "") + _encode(key) + ":"
         value = doc[key]
-        if not isinstance(value, list):
+        if isinstance(value, _UserRows):
+            batches = value.batches()
+        elif isinstance(value, list):
+            batches = _list_batches(value)
+        else:
             yield _encode(value)
             continue
         yield "["
-        for start in range(0, len(value), ROW_BATCH):
-            # Strip the batch's own brackets; the list's were written above.
-            yield ("," if start else "") + _encode(value[start : start + ROW_BATCH])[1:-1]
+        for n, batch in enumerate(batches):
+            yield ("," if n else "") + batch
         yield "]"
     yield "}\n"
 
@@ -161,7 +190,7 @@ def store_rc(rc: RcState, path: str) -> None:
             }
             for id_j, rec in rc.servers.items()
         ],
-        "users": [{"uid": uid.hex(), "c": c.hex()} for uid, c in rc.users.items()],
+        "users": _UserRows(rc.users),
         "sync_markers": {id_j.hex(): m for id_j, m in rc.sync_markers.items()},
     }
     _atomic_write(path, doc)
@@ -250,8 +279,9 @@ def store_trm(
         "version": FORMAT_VERSION,
         "ssk": trm.ssk_j.hex(),
         "p": trm.p_j.hex(),
-        "list_uid": sorted(uid.hex() for uid in trm.list_uid),
-        "list_c": [{"uid": uid.hex(), "c": c.hex()} for uid, c in trm.list_c.items()],
+        # A uid column beside list_c; the loader checks that the two agree.
+        "list_uid": sorted(map(bytes.hex, trm.list_c)),
+        "list_c": _UserRows(trm.list_c),
     }
     # Operational metadata for the CLI/service front ends; not part of the
     # provisioned store itself.
@@ -277,7 +307,6 @@ def load_trm_with_meta(path: str) -> tuple[TamperResistantMemory, str | None, st
         trm = TamperResistantMemory(
             ssk_j=_unhex(path, "ssk", doc["ssk"], DIGEST_LEN),
             p_j=_unhex(path, "p", doc["p"], DIGEST_LEN),
-            list_uid=list_uid,
             list_c=list_c,
         )
     except KeyError as exc:

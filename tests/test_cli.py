@@ -4,7 +4,7 @@ import pytest
 
 from maskap import cli, registry
 from maskap.cli import build_parser, main
-from maskap.netsim import build_world
+from maskap.netsim import World, build_world
 from maskap.protocol import MAX_SERVERS
 
 
@@ -103,6 +103,21 @@ class TestEnrollAndAuthenticate:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["new_users"] == 1
+
+    def test_sync_of_1000_users_loses_none(self, paths, capsys):
+        # More users than one delta frame holds: the command pages through them.
+        world = World(seed=8)
+        sim = world.register_server("hosp01", "srvpass", "goa")
+        registry.store_trm(sim.trm, paths["trm"], server_id="hosp01", server_loc="goa")
+        for i in range(1000):
+            world.register_user(f"u{i:04d}", "pw")
+        registry.store_rc(world.rc, paths["rc"])
+        code = main(["--json", "sync-server", "--rc", paths["rc"], "--trm", paths["trm"],
+                     "--pw", "srvpass"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["new_users"] == 1000
+        assert registry.load_trm(paths["trm"]).list_c == world.rc.users
+        assert registry.load_rc(paths["rc"]).sync_markers == {sim.secrets.id_j: 1000}
 
 
 class TestAttackCommand:

@@ -119,7 +119,7 @@ class TestServerRegistration:
         rc = RcState(k_rc=K_RC)
         _, reg = protocol.server_register_begin("s", "p", "l", FixedRng(R_S))
         trm = protocol.rc_register_server(rc, reg, srt_j=SRT)
-        assert trm.list_uid == set() and trm.list_c == {}
+        assert trm.list_c == {}
 
 
 class TestUserRegistration:
@@ -238,7 +238,6 @@ class TestLogin:
     def test_unknown_user(self):
         rc, _, trm, card = fixed_setup()
         trm.list_c.clear()
-        trm.list_uid.clear()
         t1 = 1_700_000_050
         req, _ = protocol.user_login_begin("alice", "hunter2", card, "hosp01", t1)
         with pytest.raises(UnknownUser):

@@ -2,9 +2,10 @@ import json
 import os
 import random
 import stat
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskap import protocol, registry
@@ -171,6 +172,32 @@ class TestFileLayout:
         for path in (rc_path, trm_path):
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(n_users=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+    @example(n_users=256, seed=1)
+    @example(n_users=257, seed=2)
+    @example(n_users=512, seed=3)
+    def test_stored_bytes_are_compact_sorted_json(self, n_users, seed):
+        # Any number of users, across ROW_BATCH edges, gives the bytes the
+        # C encoder gives for the whole document, and loads back unchanged.
+        rng = random.Random(seed)
+        rc = protocol.RcState(k_rc=rng.randbytes(32))
+        rc.users = {rng.randbytes(32): rng.randbytes(32) for _ in range(n_users)}
+        _, reg = protocol.server_register_begin("s0", "p0", "l0", rng)
+        trm = protocol.rc_register_server(rc, reg, srt_j=rng.randrange(2**32))
+        with tempfile.TemporaryDirectory() as tmp:
+            rc_path = os.path.join(tmp, "p.rcdb.json")
+            trm_path = os.path.join(tmp, "p.trm.json")
+            registry.store_rc(rc, rc_path)
+            registry.store_trm(trm, trm_path, server_id="s0", server_loc="l0")
+            for path in (rc_path, trm_path):
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                expected = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"))
+                assert data == (expected + "\n").encode()
+            assert registry.load_rc(rc_path) == rc
+            assert registry.load_trm_with_meta(trm_path) == (trm, "s0", "l0")
 
     @pytest.mark.parametrize("n_users", [0, 1, 256, 257])
     def test_batch_edges_round_trip(self, tmp_path, n_users):

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import struct
 
@@ -191,33 +192,64 @@ class TestRcRole:
         user.card = protocol.user_apply_server_list(user.user_id, user.password, user.card, payload)
         assert world.run_honest_session("user00", "srv62", delta_t=5).accepted
 
-    def test_reply_too_big_for_a_frame_gets_error_and_connection_survives(self):
+    def test_sync_of_64_users_takes_two_pages_and_connection_survives(self):
+        # 64 users would make a 4,097-byte delta frame, one byte too many.
         world = build_world(seed=21, n_servers=1, n_users=1)
         for i in range(64):
             world.register_user(f"late{i:02d}", f"pw{i:02d}")
-        app = service.RcApp(rc=world.rc, now_fn=lambda: world.clock.now)
-        srv = service.start_server(app)
-        service.serve_forever_in_thread(srv)
-        try:
-            sim = world.servers["srv00"]
-            sync = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=world.clock.now)
+        sim = world.servers["srv00"]
+        late = dict(list(world.rc.users.items())[1:])
+        with rc_service(world) as stream:
+            pages = [db_update(stream, world, sim) for _ in range(2)]
+            assert [len(p.entries) for p in pages] == [protocol.MAX_DELTA_ENTRIES, 1]
+            assert dict(pages[0].entries + pages[1].entries) == late
             user = world.users["user00"]
             update, _ctx = protocol.user_update_begin(
                 user.user_id, user.password, user.card, t4=world.clock.now
             )
-            sock, stream = connect(srv)
-            try:
-                # a delta of 64 users makes a 4,097-byte user list delta frame
-                wire.write_frame(stream, sync)
-                msg_type, reply = wire.decode_frame(wire.read_frame(stream))
-                assert msg_type == wire.MSG_ERROR
-                assert "exceeds" in reply
-                wire.write_frame(stream, update)
-                msg_type, payload = wire.decode_frame(wire.read_frame(stream))
-                assert msg_type == wire.MSG_LIST_PAYLOAD
-                assert payload == protocol.server_list_bytes(world.rc)
-            finally:
-                sock.close()
+            wire.write_frame(stream, update)
+            msg_type, payload = wire.decode_frame(wire.read_frame(stream))
+            assert msg_type == wire.MSG_LIST_PAYLOAD
+            assert payload == protocol.server_list_bytes(world.rc)
+
+    def test_sync_of_1000_users_loses_none(self):
+        world = build_world(seed=23, n_servers=1, n_users=0)
+        for i in range(1000):
+            world.register_user(f"u{i:04d}", "pw")
+        sim = world.servers["srv00"]
+        with rc_service(world) as stream:
+            pages = 0
+            while True:
+                delta = db_update(stream, world, sim)
+                protocol.apply_user_list_delta(sim.trm, delta)
+                pages += 1
+                if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
+                    break
+        assert pages == 1000 // protocol.MAX_DELTA_ENTRIES + 1
+        assert sim.trm.list_c == world.rc.users
+
+
+@contextlib.contextmanager
+def rc_service(world):
+    """A stream to an RC-role service over ``world.rc``, on the world's clock."""
+    srv = service.start_server(service.RcApp(rc=world.rc, now_fn=lambda: world.clock.now))
+    service.serve_forever_in_thread(srv)
+    try:
+        sock, stream = connect(srv)
+        try:
+            yield stream
         finally:
-            srv.shutdown()
-            srv.server_close()
+            sock.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def db_update(stream, world, sim):
+    """One database-update exchange for ``sim``: the delta page it gets back."""
+    wire.write_frame(
+        stream, protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=world.clock.now)
+    )
+    msg_type, delta = wire.decode_frame(wire.read_frame(stream))
+    assert msg_type == wire.MSG_USER_LIST_DELTA
+    return delta
