@@ -196,7 +196,8 @@ class TestFileLayout:
                     data = fh.read()
                 expected = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"))
                 assert data == (expected + "\n").encode()
-            assert registry.load_rc(rc_path) == rc
+            loaded = registry.load_rc(rc_path)
+            assert loaded == rc and list(loaded.users) == list(rc.users)  # registration order
             assert registry.load_trm_with_meta(trm_path) == (trm, "s0", "l0")
 
     @pytest.mark.parametrize("n_users", [0, 1, 256, 257])
