@@ -27,6 +27,7 @@ from .protocol import (
     Validity16,
     parse_server_list,
 )
+from .service import ServerApp
 
 
 @dataclass
@@ -95,10 +96,8 @@ def _capture_session(world: World, user_id: str, server_id: str, delta_t: int = 
 
 def _submit(world: World, server_id: str, req: LoginRequest, delta_t: int = 5):
     server = world.servers[server_id]
-    return protocol.server_handle_login(
-        server.trm, server.server_id, server.location, req,
-        t2=world.clock.now, delta_t=delta_t, vt_duration=world.vt_duration_s,
-    )
+    app = ServerApp(server.trm, server.server_id, server.location, delta_t, world.vt_duration_s)
+    return app.handle(req, world.clock.now)
 
 
 # ---------------------------------------------------------------------------

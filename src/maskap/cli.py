@@ -1,4 +1,9 @@
-"""Command-line front end over file-backed state."""
+"""Command-line front end over file-backed state.
+
+A command that writes two files writes the TRM or the card first and the RC
+last.  A crash between the two writes then leaves the RC as it was, and the
+retry repeats the command and overwrites the other file.
+"""
 from __future__ import annotations
 
 import argparse
@@ -63,8 +68,8 @@ def cmd_register_server(args: argparse.Namespace) -> int:
     rc = registry.load_rc(args.rc)
     secrets, req = protocol.server_register_begin(args.id, args.pw, args.loc, rng)
     trm = protocol.rc_register_server(rc, req, srt_j=_now())
-    registry.store_rc(rc, args.rc)
     registry.store_trm(trm, args.trm, server_id=args.id, server_loc=args.loc)
+    registry.store_rc(rc, args.rc)
     _emit(
         args,
         {"server_id": args.id, "trm": args.trm},
@@ -79,8 +84,8 @@ def cmd_register_user(args: argparse.Namespace) -> int:
     pending, req = protocol.user_register_begin(args.id, args.pw, rng)
     prov = protocol.rc_register_user(rc, req, rng)
     card = protocol.user_finalize_card(args.id, args.pw, pending.r1, pending.r2, prov)
-    registry.store_rc(rc, args.rc)
     registry.store_card(card, args.card)
+    registry.store_rc(rc, args.rc)
     _emit(
         args,
         {"user_id": args.id, "card": args.card, "uid": pending.uid_i.hex()},
@@ -96,9 +101,8 @@ def cmd_authenticate(args: argparse.Namespace) -> int:
         raise CliError("trm file carries no server identity metadata; re-register the server")
     t1 = _now()
     req, ctx = protocol.user_login_begin(args.id, args.pw, card, server_id, t1)
-    resp, server_key = protocol.server_handle_login(
-        trm, server_id, server_loc, req, t2=_now(), delta_t=args.delta_t, vt_duration=args.vt
-    )
+    app = service.ServerApp(trm, server_id, server_loc, delta_t=args.delta_t, vt_duration=args.vt)
+    resp, server_key = app.handle(req, _now())
     user_key = protocol.user_handle_response(ctx, resp, t3=_now(), delta_t=args.delta_t)
     agreed = user_key.sk == server_key.sk
     doc = {
@@ -114,7 +118,7 @@ def cmd_update_card(args: argparse.Namespace) -> int:
     card = registry.load_card(args.card)
     rc = registry.load_rc(args.rc)
     req, _ctx = protocol.user_update_begin(args.id, args.pw, card, t4=_now())
-    list_bytes = protocol.rc_handle_update(rc, req, t5=_now(), delta_t=args.delta_t)
+    list_bytes = service.RcApp(rc, delta_t=args.delta_t).handle(req, _now())
     new_card = protocol.user_apply_server_list(args.id, args.pw, card, list_bytes)
     registry.store_card(new_card, args.card)
     n = len(list_bytes) // protocol.SERVER_ENTRY_LEN
@@ -138,16 +142,9 @@ def cmd_sync_server(args: argparse.Namespace) -> int:
         p_j=trm.p_j,
         loc_j=rec.loc_j,
     )
-    new_users = 0
-    while True:  # one page per exchange, until a short one
-        req = protocol.server_db_update_begin(secrets, trm.ssk_j, t6=_now())
-        delta = protocol.rc_handle_db_update(rc, req, t7=_now(), delta_t=args.delta_t)
-        protocol.apply_user_list_delta(trm, delta)
-        new_users += len(delta.entries)
-        if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
-            break
-    registry.store_rc(rc, args.rc)
+    new_users = service.RcApp(rc, delta_t=args.delta_t).sync(secrets, trm, _now())
     registry.store_trm(trm, args.trm, server_id=server_id, server_loc=server_loc)
+    registry.store_rc(rc, args.rc)
     _emit(
         args,
         {"server_id": server_id, "new_users": new_users},

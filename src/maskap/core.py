@@ -130,20 +130,8 @@ def encode_field(value: str) -> bytes:
     return raw.ljust(FIELD_LEN, b"\x00")
 
 
-def decode_field(raw: bytes) -> str:
-    if len(raw) != FIELD_LEN:
-        raise ValueError(f"expected {FIELD_LEN}-byte field, got {len(raw)}")
-    return raw.rstrip(b"\x00").decode("utf-8")
-
-
 def ts_bytes(seconds: int) -> bytes:
     """4-byte big-endian unsigned timestamp.  Rolls over in 2106; not handled."""
     if not 0 <= seconds < 2**32:
         raise ValueError(f"timestamp out of u32 range: {seconds}")
     return struct.pack(">I", seconds)
-
-
-def ts_from_bytes(raw: bytes) -> int:
-    if len(raw) != TS_LEN:
-        raise ValueError(f"expected {TS_LEN}-byte timestamp, got {len(raw)}")
-    return struct.unpack(">I", raw)[0]

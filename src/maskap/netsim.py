@@ -3,7 +3,8 @@
 A World owns a virtual clock and a seeded RNG, so any scenario replays
 bit-identically.  Public-channel frames pass through a scriptable adversary;
 registration and RC maintenance traffic ride secure channels the adversary
-cannot observe.
+cannot observe.  Servers answer logins, and the RC card and database
+updates, through `service.ServerApp.handle` and `service.RcApp.handle`.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .protocol import (
     SmartCard,
     TamperResistantMemory,
 )
+from .service import RcApp, ServerApp
 
 DEFAULT_START_TIME = 1_700_000_000
 DEFAULT_LATENCY_S = 1
@@ -90,32 +92,6 @@ AdversaryAction = Union[Forward, Delay, Replay, ModifyBit, Drop, Inject]
 # A session's public messages by index: the class, its sender and its receiver.
 _MESSAGES = ((LoginRequest, "user", "server"), (LoginResponse, "server", "user"))
 _FIELD_SPANS = {index: wire.layout(cls).spans for index, (cls, *_) in enumerate(_MESSAGES)}
-
-
-def action_from_json(obj: dict) -> AdversaryAction:
-    kind = obj["kind"]
-    if kind == "forward":
-        return Forward()
-    if kind == "delay":
-        return Delay(d_s=int(obj["d_s"]))
-    if kind == "replay":
-        return Replay(copies=int(obj.get("copies", 1)))
-    if kind == "modify_bit":
-        return ModifyBit(
-            field=obj["field"], byte_index=int(obj["byte_index"]), bit_index=int(obj["bit_index"])
-        )
-    if kind == "drop":
-        return Drop()
-    if kind == "inject":
-        return Inject(frame=bytes.fromhex(obj["frame"]))
-    raise ValueError(f"unknown adversary action kind {kind!r}")
-
-
-def script_from_json(doc: str | dict) -> dict[int, list[AdversaryAction]]:
-    """Scenario scripts as a small JSON document: message index -> action list."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    return {int(idx): [action_from_json(a) for a in actions] for idx, actions in doc.items()}
 
 
 def _action_desc(act: AdversaryAction) -> str:
@@ -239,6 +215,7 @@ class World:
         self.latency_s = latency_s
         self.vt_duration_s = vt_duration_s
         self.rc = RcState(k_rc=self.rng.randbytes(32))
+        self.rc_app = RcApp(self.rc, now_fn=lambda: self.clock.now)
         self.servers: dict[str, SimServer] = {}
         self.users: dict[str, SimUser] = {}
         self.adversary_observed: list[bytes] = []
@@ -269,19 +246,12 @@ class World:
         )
         return sim
 
-    def advance_and_sync(self, d_s: int, delta_t: int = 5) -> None:
-        """Advance the clock, then sync every server, one database-update page at a time."""
+    def advance_and_sync(self, d_s: int) -> None:
+        """Advance the clock, then sync every server through the RC."""
         self.clock.advance(d_s)
         now = self.clock.now
         for sim in self.servers.values():
-            synced = 0
-            while True:
-                req = protocol.server_db_update_begin(sim.secrets, sim.trm.ssk_j, t6=now)
-                delta = protocol.rc_handle_db_update(self.rc, req, t7=now, delta_t=delta_t)
-                protocol.apply_user_list_delta(sim.trm, delta)
-                synced += len(delta.entries)
-                if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
-                    break
+            synced = self.rc_app.sync(sim.secrets, sim.trm, now)
             self.secure_log.append(
                 {"time": now, "channel": "secure", "kind": "db_sync",
                  "peer": sim.server_id, "delta": synced}
@@ -289,10 +259,10 @@ class World:
 
     # -- card maintenance (secure channel) ----------------------------------
 
-    def update_user_card(self, user_id: str, delta_t: int = 5) -> None:
+    def update_user_card(self, user_id: str) -> None:
         sim = self.users[user_id]
         req, _ctx = protocol.user_update_begin(sim.user_id, sim.password, sim.card, t4=self.clock.now)
-        list_bytes = protocol.rc_handle_update(self.rc, req, t5=self.clock.now, delta_t=delta_t)
+        list_bytes = self.rc_app.handle(req, self.clock.now)
         sim.card = protocol.user_apply_server_list(sim.user_id, sim.password, sim.card, list_bytes)
         self.secure_log.append(
             {"time": self.clock.now, "channel": "secure", "kind": "card_update", "peer": user_id}
@@ -358,10 +328,8 @@ class World:
 
         user_key: SessionKey | None = None
         server_key: SessionKey | None = None
-        served = deliver(0, login_req, t1, lambda req, now: protocol.server_handle_login(
-            server.trm, server.server_id, server.location, req,
-            t2=now, delta_t=delta_t, vt_duration=self.vt_duration_s,
-        ))
+        app = ServerApp(server.trm, server.server_id, server.location, delta_t, self.vt_duration_s)
+        served = deliver(0, login_req, t1, app.handle)
         if served is not None:
             (response, server_key), response_time = served
             finished = deliver(1, response, response_time, lambda resp, now: (

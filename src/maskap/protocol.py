@@ -503,12 +503,9 @@ def server_handle_login(
     t2: int,
     delta_t: int,
     vt_duration: int = DEFAULT_VT_DURATION,
-    replay_cache: set[tuple[bytes, int]] | None = None,
 ) -> tuple[LoginResponse, SessionKey]:
     if not _fresh(req.t1, t2, delta_t):
         raise StaleRequest(f"request aged {t2 - req.t1}s, window {delta_t}s")
-    if replay_cache is not None and (req.beta, req.t1) in replay_cache:
-        raise StaleRequest("request already seen within window")
     idb = encode_field(id_j)
     uid = xor(sha256(concat(idb, trm.ssk_j, ts_bytes(req.t1))), req.alpha)
     c_i = trm.list_c.get(uid)
@@ -517,8 +514,6 @@ def server_handle_login(
     beta_check = sha256(concat(uid, trm.ssk_j, c_i, ts_bytes(req.t1)))
     if not hmac.compare_digest(beta_check, req.beta):
         raise AuthFail("login request verifier mismatch")
-    if replay_cache is not None:
-        replay_cache.add((req.beta, req.t1))
     vt = Validity16(expiry=t2 + vt_duration, duration_s=vt_duration)
     locb = encode_field(loc_j)
     gamma = xor(concat(vt.pack(), locb), sha256(concat(c_i, uid, idb, beta_check)))

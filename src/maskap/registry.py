@@ -21,10 +21,6 @@ from .protocol import RcState, ServerRecord, SmartCard, TamperResistantMemory
 
 FORMAT_VERSION = 1
 
-RC_SUFFIX = ".rcdb.json"
-CARD_SUFFIX = ".card.json"
-TRM_SUFFIX = ".trm.json"
-
 # Rows of a top-level list encoded per write call: one string per batch keeps
 # the encoder's output small however many users a file holds.
 ROW_BATCH = 256

@@ -4,6 +4,10 @@ Two roles: a server role answering login requests from its provisioned
 memory, and an RC role answering card-update and database-update requests.
 The RC endpoints model the trusted registration channel and are meant to be
 bound to loopback.  State mutations are serialized per instance.
+
+Each role's `handle(msg, now)` is the one place that answers a decoded
+request: `dispatch` calls it for the socket, and the CLI, the simulator and
+the attack suite call it directly.
 """
 from __future__ import annotations
 
@@ -71,16 +75,20 @@ class ServerApp:
         self.now_fn = now_fn
         self._lock = threading.Lock()
 
+    def handle(
+        self, req: protocol.LoginRequest, now: int
+    ) -> tuple[protocol.LoginResponse, protocol.SessionKey]:
+        with self._lock:
+            return protocol.server_handle_login(
+                self.trm, self.server_id, self.server_loc, req,
+                t2=now, delta_t=self.delta_t, vt_duration=self.vt_duration,
+            )
+
     def dispatch(self, raw: bytes) -> wire.Frame:
         msg_type, msg = wire.decode_frame(raw)
         if msg_type != wire.MSG_LOGIN_REQUEST:
             raise wire.CodecError(f"server role does not accept frame type 0x{msg_type:02x}")
-        with self._lock:
-            resp, _key = protocol.server_handle_login(
-                self.trm, self.server_id, self.server_loc, msg,
-                t2=int(self.now_fn()), delta_t=self.delta_t, vt_duration=self.vt_duration,
-            )
-        return resp
+        return self.handle(msg, int(self.now_fn()))[0]
 
 
 class RcApp:
@@ -99,18 +107,34 @@ class RcApp:
         self.now_fn = now_fn
         self._lock = threading.Lock()
 
-    def dispatch(self, raw: bytes) -> wire.Frame:
-        msg_type, msg = wire.decode_frame(raw)
-        now = int(self.now_fn())
+    def handle(self, msg: wire.Frame, now: int) -> wire.Frame:
         with self._lock:
-            if msg_type == wire.MSG_UPDATE_REQUEST:
+            if isinstance(msg, protocol.UpdateRequest):
                 return protocol.rc_handle_update(self.rc, msg, t5=now, delta_t=self.delta_t)
-            if msg_type == wire.MSG_DB_UPDATE_REQUEST:
+            if isinstance(msg, protocol.DbUpdateRequest):
                 delta = protocol.rc_handle_db_update(self.rc, msg, t7=now, delta_t=self.delta_t)
                 if self.rc_path:
                     registry.store_rc(self.rc, self.rc_path)
                 return delta
+        msg_type = wire.layout(type(msg)).msg_type
         raise wire.CodecError(f"rc role does not accept frame type 0x{msg_type:02x}")
+
+    def dispatch(self, raw: bytes) -> wire.Frame:
+        return self.handle(wire.decode_frame(raw)[1], int(self.now_fn()))
+
+    def sync(
+        self, secrets: protocol.ServerSecrets, trm: protocol.TamperResistantMemory, now: int
+    ) -> int:
+        """Pull the users registered since the server's last sync into `trm`,
+        one page per exchange until a short one; the number of users synced."""
+        synced = 0
+        while True:
+            req = protocol.server_db_update_begin(secrets, trm.ssk_j, t6=now)
+            delta = self.handle(req, now)
+            protocol.apply_user_list_delta(trm, delta)
+            synced += len(delta.entries)
+            if len(delta.entries) < protocol.MAX_DELTA_ENTRIES:
+                return synced
 
 
 def start_server(app: ServerApp | RcApp, host: str = "127.0.0.1", port: int = 0) -> _ThreadingServer:
@@ -121,6 +145,8 @@ def start_server(app: ServerApp | RcApp, host: str = "127.0.0.1", port: int = 0)
 
 
 def serve_forever_in_thread(srv: _ThreadingServer) -> threading.Thread:
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    """Serve on a daemon thread, polling for shutdown every 0.05 s so that
+    `srv.shutdown()` returns promptly."""
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return thread

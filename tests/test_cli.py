@@ -17,20 +17,28 @@ def paths(tmp_path):
     }
 
 
+def enroll_steps(paths, seed="5"):
+    """The commands that enroll one server and one user, by name, in order."""
+    return {
+        "rc-init": ["--seed", seed, "rc-init", "--rc", paths["rc"]],
+        "register-server": [
+            "--seed", seed, "register-server", "--rc", paths["rc"], "--trm", paths["trm"],
+            "--id", "hosp01", "--pw", "srvpass", "--loc", "goa",
+        ],
+        "register-user": [
+            "--seed", seed, "register-user", "--rc", paths["rc"], "--card", paths["card"],
+            "--id", "alice", "--pw", "hunter2",
+        ],
+        "sync-server": [
+            "--seed", seed, "sync-server", "--rc", paths["rc"], "--trm", paths["trm"],
+            "--pw", "srvpass",
+        ],
+    }
+
+
 def enroll(paths, seed="5"):
-    assert main(["--seed", seed, "rc-init", "--rc", paths["rc"]]) == 0
-    assert main([
-        "--seed", seed, "register-server", "--rc", paths["rc"], "--trm", paths["trm"],
-        "--id", "hosp01", "--pw", "srvpass", "--loc", "goa",
-    ]) == 0
-    assert main([
-        "--seed", seed, "register-user", "--rc", paths["rc"], "--card", paths["card"],
-        "--id", "alice", "--pw", "hunter2",
-    ]) == 0
-    assert main([
-        "--seed", seed, "sync-server", "--rc", paths["rc"], "--trm", paths["trm"],
-        "--pw", "srvpass",
-    ]) == 0
+    for argv in enroll_steps(paths, seed).values():
+        assert main(argv) == 0
 
 
 class TestEnrollAndAuthenticate:
@@ -118,6 +126,35 @@ class TestEnrollAndAuthenticate:
         assert json.loads(capsys.readouterr().out)["new_users"] == 1000
         assert registry.load_trm(paths["trm"]).list_c == world.rc.users
         assert registry.load_rc(paths["rc"]).sync_markers == {sim.secrets.id_j: 1000}
+
+
+class TestCrashBetweenWrites:
+    """A command that dies on one of its two file writes converges when retried."""
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    @pytest.mark.parametrize("command", ["register-server", "register-user", "sync-server"])
+    def test_retry_converges(self, paths, monkeypatch, capsys, command, nth):
+        real_write = registry._atomic_write
+        writes = []
+
+        def crash_on_nth(path, doc):
+            writes.append(path)
+            if len(writes) == nth:
+                raise OSError("simulated crash")
+            real_write(path, doc)
+
+        for name, argv in enroll_steps(paths).items():
+            if name == command:
+                with monkeypatch.context() as patch:
+                    patch.setattr(registry, "_atomic_write", crash_on_nth)
+                    assert main(argv) == 2
+                assert len(writes) == nth
+            assert main(argv) == 0
+        rc = registry.load_rc(paths["rc"])
+        assert len(rc.users) == 1  # one card issued
+        assert registry.load_trm(paths["trm"]).list_c == rc.users
+        assert main(["authenticate", "--card", paths["card"], "--trm", paths["trm"],
+                     "--id", "alice", "--pw", "hunter2"]) == 0
 
 
 class TestAttackCommand:

@@ -11,13 +11,11 @@ from maskap.core import (
     HashCounter,
     LengthMismatch,
     concat,
-    decode_field,
     encode_field,
     keystream_block,
     keystream_mask,
     sha256,
     ts_bytes,
-    ts_from_bytes,
     xor,
 )
 
@@ -135,7 +133,7 @@ class TestKeystreamMask:
 class TestFields:
     def test_round_trip(self):
         for s in ("", "a", "user01", "0123456789abcdef", "héllo"):
-            assert decode_field(encode_field(s)) == s
+            assert encode_field(s).rstrip(b"\x00").decode() == s
 
     def test_width(self):
         assert len(encode_field("x")) == 16
@@ -163,7 +161,7 @@ class TestFields:
             return
         if len(raw) > 16:
             return
-        assert decode_field(encode_field(s)) == s
+        assert encode_field(s).rstrip(b"\x00").decode() == s
 
 
 class TestConcatAndTimestamps:
@@ -174,7 +172,7 @@ class TestConcatAndTimestamps:
 
     def test_ts_round_trip(self):
         for t in (0, 1, 1_700_000_000, 2**32 - 1):
-            assert ts_from_bytes(ts_bytes(t)) == t
+            assert struct.unpack(">I", ts_bytes(t)) == (t,)
 
     def test_ts_big_endian(self):
         assert ts_bytes(1) == b"\x00\x00\x00\x01"

@@ -11,7 +11,6 @@ from maskap.netsim import (
     Replay,
     World,
     build_world,
-    script_from_json,
 )
 
 
@@ -170,18 +169,6 @@ class TestSync:
 
 
 class TestScriptJson:
-    def test_round_trip(self):
-        doc = {
-            "0": [
-                {"kind": "delay", "d_s": 3},
-                {"kind": "modify_bit", "field": "beta", "byte_index": 1, "bit_index": 7},
-            ],
-            "1": [{"kind": "drop"}],
-        }
-        script = script_from_json(doc)
-        assert script[0] == [Delay(3), ModifyBit("beta", 1, 7)]
-        assert script[1] == [Drop()]
-
     def test_outcome_json_dumpable(self):
         world = build_world(seed=15)
         outcome = world.run_honest_session("user00", "srv00", delta_t=5)

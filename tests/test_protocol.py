@@ -274,19 +274,6 @@ class TestLogin:
         with pytest.raises(StaleResponse):
             protocol.user_handle_response(ctx, resp, t3=t1 + 10, delta_t=5)
 
-    def test_replay_cache_flag(self):
-        _, _, trm, card = fixed_setup()
-        t1 = 1_700_000_050
-        req, _ = protocol.user_login_begin("alice", "hunter2", card, "hosp01", t1)
-        cache: set = set()
-        protocol.server_handle_login(
-            trm, "hosp01", "goa", req, t2=t1 + 1, delta_t=5, replay_cache=cache
-        )
-        with pytest.raises(StaleRequest):
-            protocol.server_handle_login(
-                trm, "hosp01", "goa", req, t2=t1 + 2, delta_t=5, replay_cache=cache
-            )
-
     def test_auth_hash_count_is_twenty(self):
         _, _, trm, card = fixed_setup()
         counter = HashCounter()
