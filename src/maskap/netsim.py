@@ -211,11 +211,13 @@ class World:
         vt_duration_s: int = protocol.DEFAULT_VT_DURATION,
     ) -> None:
         self.rng = random.Random(seed)
-        self.clock = SimClock(now=start_time)
+        self.clock = clock = SimClock(now=start_time)
         self.latency_s = latency_s
         self.vt_duration_s = vt_duration_s
         self.rc = RcState(k_rc=self.rng.randbytes(32))
-        self.rc_app = RcApp(self.rc, now_fn=lambda: self.clock.now)
+        # Bound to the clock, not to self: a cycle through self would keep a
+        # dropped world in memory until the cyclic garbage collector runs.
+        self.rc_app = RcApp(self.rc, now_fn=lambda: clock.now)
         self.servers: dict[str, SimServer] = {}
         self.users: dict[str, SimUser] = {}
         self.adversary_observed: list[bytes] = []
