@@ -205,7 +205,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        srv.shutdown()
+        srv.server_close()
     return 0
 
 

@@ -79,19 +79,29 @@ _ACTIVE: contextvars.ContextVar[HashCounter | None] = contextvars.ContextVar(
 )
 
 
-def sha256(data: bytes) -> bytes:
-    """The protocol's one-way hash.  Counted when a HashCounter is active."""
+def sha256(*parts: bytes) -> bytes:
+    """The protocol's one-way hash of the parts juxtaposed.  Counted once when
+    a HashCounter is active."""
     ctr = _ACTIVE.get()
     if ctr is not None:
         ctr._bump()
-    return hashlib.sha256(data).digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
-def xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise LengthMismatch(f"xor operands differ in length: {len(a)} vs {len(b)}")
+_from_bytes = int.from_bytes
+
+
+def xor(a: bytes, *rest: bytes) -> bytes:
+    """XOR of equal-length operands, folded on one integer."""
     n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+    if len(rest) == 1 and len(rest[0]) == n:
+        return (_from_bytes(a, "big") ^ _from_bytes(rest[0], "big")).to_bytes(n, "big")
+    acc = _from_bytes(a, "big")
+    for b in rest:
+        if len(b) != n:
+            raise LengthMismatch(f"xor operands differ in length: {n} vs {len(b)}")
+        acc ^= _from_bytes(b, "big")
+    return acc.to_bytes(n, "big")
 
 
 def keystream_block(key: bytes, i: int) -> bytes:

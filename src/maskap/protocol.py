@@ -11,6 +11,7 @@ import hmac
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import NamedTuple
 from typing import Protocol as _Proto
 
 from .core import (
@@ -256,8 +257,7 @@ class SessionKey:
     peer_id: bytes  # server identity field on the user side, uid on the server side
 
 
-@dataclass(frozen=True)
-class LoginContext:
+class LoginContext(NamedTuple):
     uid: bytes
     c_i: bytes
     ssk_j: bytes
@@ -304,8 +304,8 @@ def server_register_begin(
     pwb = encode_field(pw_j)
     locb = encode_field(loc_j)
     r_s = rng.randbytes(NONCE_LEN)
-    p_j = sha256(concat(idb, r_s, pwb))
-    q_j = xor(sha256(concat(idb, pwb)), p_j)
+    p_j = sha256(idb, r_s, pwb)
+    q_j = xor(sha256(idb, pwb), p_j)
     secrets = ServerSecrets(id_j=idb, pw_j=pwb, r_s=r_s, p_j=p_j, loc_j=locb)
     return secrets, RegRequest(id_j=idb, p_j=p_j, q_j=q_j, loc_j=locb)
 
@@ -315,7 +315,7 @@ def rc_register_server(rc: RcState, req: RegRequest, srt_j: int) -> TamperResist
         raise DuplicateServerId(f"server id already registered")
     if len(rc.servers) >= MAX_SERVERS:
         raise TooManyServers(f"a deployment holds at most {MAX_SERVERS} servers")
-    ssk_j = sha256(concat(rc.k_rc, req.p_j, ts_bytes(srt_j)))
+    ssk_j = sha256(rc.k_rc, req.p_j, ts_bytes(srt_j))
     rc.servers[req.id_j] = ServerRecord(ssk_j=ssk_j, q_j=req.q_j, loc_j=req.loc_j, srt_j=srt_j)
     rc.sync_markers[req.id_j] = len(rc.users)
     return TamperResistantMemory(ssk_j=ssk_j, p_j=req.p_j, list_c=dict(rc.users))
@@ -341,8 +341,8 @@ def user_register_begin(
     pwb = encode_field(pw_i)
     r1 = rng.randbytes(NONCE_LEN)
     r2 = rng.randbytes(NONCE_LEN)
-    a_i = sha256(concat(idb, pwb))
-    uid_i = sha256(concat(r1, idb, r2))
+    a_i = sha256(idb, pwb)
+    uid_i = sha256(r1, idb, r2)
     return (
         PendingRegistration(r1=r1, r2=r2, a_i=a_i, uid_i=uid_i),
         UserRegRequest(uid_i=uid_i, a_i=a_i),
@@ -355,11 +355,8 @@ def rc_register_user(rc: RcState, req: UserRegRequest, rng: SupportsRandBytes) -
     if not rc.servers:
         raise NoServersRegistered("cannot provision a card with an empty server list")
     r3 = rng.randbytes(NONCE_LEN)
-    usk_i = sha256(concat(req.uid_i, rc.k_rc, r3))
-    c_i = xor(
-        xor(sha256(concat(rc.k_rc, r3, req.a_i)), usk_i),
-        sha256(concat(req.uid_i, req.a_i)),
-    )
+    usk_i = sha256(req.uid_i, rc.k_rc, r3)
+    c_i = xor(sha256(rc.k_rc, r3, req.a_i), usk_i, sha256(req.uid_i, req.a_i))
     d_i = xor(req.a_i, usk_i)
     rc.users[req.uid_i] = c_i
     return CardProvision(c_i=c_i, d_i=d_i, list_bytes=server_list_bytes(rc))
@@ -372,16 +369,16 @@ def user_finalize_card(
     pwb = encode_field(pw_i)
     if len(prov.list_bytes) == 0 or len(prov.list_bytes) % SERVER_ENTRY_LEN != 0:
         raise MalformedList("provisioned server list has invalid length")
-    a_i = sha256(concat(idb, pwb))
-    uid_i = sha256(concat(r1, idb, r2))
+    a_i = sha256(idb, pwb)
+    uid_i = sha256(r1, idb, r2)
     w = xor(concat(r1, r2), a_i)
-    b_i = xor(sha256(concat(r1, pwb)), sha256(concat(r2, pwb)))
-    x = xor(xor(sha256(xor(r2, idb)), prov.c_i), sha256(xor(r1, pwb)))
+    b_i = xor(sha256(r1, pwb), sha256(r2, pwb))
+    x = xor(sha256(xor(r2, idb)), prov.c_i, sha256(xor(r1, pwb)))
     y = xor(b_i, prov.d_i)
     outer, inner = _server_list_keys(idb, pwb, r1, r2)
     z = keystream_mask(outer, keystream_mask(inner, prov.list_bytes))
     usk_i = xor(a_i, prov.d_i)
-    e = sha256(concat(uid_i, pwb, usk_i))
+    e = sha256(uid_i, pwb, usk_i)
     return SmartCard(w=w, x=x, y=y, z=z, e=e)
 
 
@@ -390,8 +387,7 @@ def user_finalize_card(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _OpenedCard:
+class _OpenedCard(NamedTuple):
     r1: bytes
     r2: bytes
     uid: bytes
@@ -404,20 +400,20 @@ def _open_card(idb: bytes, pwb: bytes, card: SmartCard) -> _OpenedCard:
     so the recomputation of h(id||pw) in the key-recovery line is performed
     (not cached) to keep instrumented counts aligned with the symbolic ones.
     """
-    r1r2 = xor(card.w, sha256(concat(idb, pwb)))
+    r1r2 = xor(card.w, sha256(idb, pwb))
     r1, r2 = r1r2[:NONCE_LEN], r1r2[NONCE_LEN:]
-    b_i = xor(sha256(concat(r1, pwb)), sha256(concat(r2, pwb)))
-    usk = xor(xor(sha256(concat(idb, pwb)), card.y), b_i)
-    uid = sha256(concat(r1, idb, r2))
-    e_check = sha256(concat(uid, pwb, usk))
+    b_i = xor(sha256(r1, pwb), sha256(r2, pwb))
+    usk = xor(sha256(idb, pwb), card.y, b_i)
+    uid = sha256(r1, idb, r2)
+    e_check = sha256(uid, pwb, usk)
     if not hmac.compare_digest(e_check, card.e):
         raise BadCredentials("card check value mismatch")
-    return _OpenedCard(r1=r1, r2=r2, uid=uid, usk=usk)
+    return _OpenedCard(r1, r2, uid, usk)
 
 
 def _server_list_keys(idb: bytes, pwb: bytes, r1: bytes, r2: bytes) -> tuple[bytes, bytes]:
     """The two keys whose keystreams mask the card's server list, outer one first."""
-    return sha256(concat(r1, idb, pwb)), sha256(concat(idb, pwb, r2))
+    return sha256(r1, idb, pwb), sha256(idb, pwb, r2)
 
 
 def _unmask_server_list(idb: bytes, pwb: bytes, r1: bytes, r2: bytes, z: bytes) -> bytes:
@@ -440,7 +436,7 @@ def _find_server_entry(
 
     def unmask(i: int) -> bytes:
         block = z[i * DIGEST_LEN : (i + 1) * DIGEST_LEN]
-        return xor(xor(block, keystream_block(outer, i)), keystream_block(inner, i))
+        return xor(block, keystream_block(outer, i), keystream_block(inner, i))
 
     heads: dict[int, bytes] = {}
 
@@ -467,7 +463,7 @@ def _find_server_entry(
 
 
 def _recover_c(idb: bytes, pwb: bytes, r1: bytes, r2: bytes, x: bytes) -> bytes:
-    return xor(xor(x, sha256(xor(r2, idb))), sha256(xor(r1, pwb)))
+    return xor(x, sha256(xor(r2, idb)), sha256(xor(r1, pwb)))
 
 
 def user_login_begin(
@@ -475,18 +471,16 @@ def user_login_begin(
 ) -> tuple[LoginRequest, LoginContext]:
     idb = encode_field(id_i)
     pwb = encode_field(pw_i)
-    opened = _open_card(idb, pwb, card)
+    r1, r2, uid, _ = _open_card(idb, pwb, card)
     target = encode_field(target_id_j)
-    entry = _find_server_entry(idb, pwb, opened.r1, opened.r2, card.z, target)
+    entry = _find_server_entry(idb, pwb, r1, r2, card.z, target)
     if entry is None:
         raise UnknownServer(f"server {target_id_j!r} not in card's list")
-    alpha = xor(sha256(concat(entry.id_j, entry.ssk_j, ts_bytes(t1))), opened.uid)
-    c_i = _recover_c(idb, pwb, opened.r1, opened.r2, card.x)
-    beta = sha256(concat(opened.uid, entry.ssk_j, c_i, ts_bytes(t1)))
-    ctx = LoginContext(
-        uid=opened.uid, c_i=c_i, ssk_j=entry.ssk_j, id_j=entry.id_j, beta=beta, t1=t1
-    )
-    return LoginRequest(alpha=alpha, beta=beta, t1=t1), ctx
+    t1b = ts_bytes(t1)
+    alpha = xor(sha256(entry.id_j, entry.ssk_j, t1b), uid)
+    c_i = _recover_c(idb, pwb, r1, r2, card.x)
+    beta = sha256(uid, entry.ssk_j, c_i, t1b)
+    return LoginRequest(alpha, beta, t1), LoginContext(uid, c_i, entry.ssk_j, entry.id_j, beta, t1)
 
 
 def _enc_diff(later: int, earlier: int) -> bytes:
@@ -504,22 +498,37 @@ def server_handle_login(
     delta_t: int,
     vt_duration: int = DEFAULT_VT_DURATION,
 ) -> tuple[LoginResponse, SessionKey]:
+    return handle_login_fields(
+        trm, encode_field(id_j), encode_field(loc_j), req, t2, delta_t, vt_duration
+    )
+
+
+def handle_login_fields(
+    trm: TamperResistantMemory,
+    idb: bytes,
+    locb: bytes,
+    req: LoginRequest,
+    t2: int,
+    delta_t: int,
+    vt_duration: int,
+) -> tuple[LoginResponse, SessionKey]:
+    """server_handle_login with the server's id and location already encoded."""
     if not _fresh(req.t1, t2, delta_t):
         raise StaleRequest(f"request aged {t2 - req.t1}s, window {delta_t}s")
-    idb = encode_field(id_j)
-    uid = xor(sha256(concat(idb, trm.ssk_j, ts_bytes(req.t1))), req.alpha)
+    t1b = ts_bytes(req.t1)
+    uid = xor(sha256(idb, trm.ssk_j, t1b), req.alpha)
     c_i = trm.list_c.get(uid)
     if c_i is None:
         raise UnknownUser("uid not in provisioned user list")
-    beta_check = sha256(concat(uid, trm.ssk_j, c_i, ts_bytes(req.t1)))
+    beta_check = sha256(uid, trm.ssk_j, c_i, t1b)
     if not hmac.compare_digest(beta_check, req.beta):
         raise AuthFail("login request verifier mismatch")
     vt = Validity16(expiry=t2 + vt_duration, duration_s=vt_duration)
-    locb = encode_field(loc_j)
-    gamma = xor(concat(vt.pack(), locb), sha256(concat(c_i, uid, idb, beta_check)))
-    sigma = sha256(concat(vt.pack(), c_i, _enc_diff(t2, req.t1)))
-    sk = sha256(concat(uid, idb, c_i, locb, vt.pack()))
-    return LoginResponse(gamma=gamma, sigma=sigma, t2=t2), SessionKey(sk=sk, vt=vt, peer_id=uid)
+    vtb = vt.pack()
+    gamma = xor(vtb + locb, sha256(c_i, uid, idb, beta_check))
+    sigma = sha256(vtb, c_i, _enc_diff(t2, req.t1))
+    sk = sha256(uid, idb, c_i, locb, vtb)
+    return LoginResponse(gamma, sigma, t2), SessionKey(sk=sk, vt=vt, peer_id=uid)
 
 
 def user_handle_response(
@@ -527,12 +536,12 @@ def user_handle_response(
 ) -> SessionKey:
     if not _fresh(resp.t2, t3, delta_t):
         raise StaleResponse(f"response aged {t3 - resp.t2}s, window {delta_t}s")
-    plain = xor(resp.gamma, sha256(concat(ctx.c_i, ctx.uid, ctx.id_j, ctx.beta)))
+    plain = xor(resp.gamma, sha256(ctx.c_i, ctx.uid, ctx.id_j, ctx.beta))
     vt_raw, locb = plain[:VALIDITY_LEN], plain[VALIDITY_LEN:]
-    sigma_check = sha256(concat(vt_raw, ctx.c_i, _enc_diff(resp.t2, ctx.t1)))
+    sigma_check = sha256(vt_raw, ctx.c_i, _enc_diff(resp.t2, ctx.t1))
     if not hmac.compare_digest(sigma_check, resp.sigma):
         raise AuthFail("login response verifier mismatch")
-    sk = sha256(concat(ctx.uid, ctx.id_j, ctx.c_i, locb, vt_raw))
+    sk = sha256(ctx.uid, ctx.id_j, ctx.c_i, locb, vt_raw)
     return SessionKey(sk=sk, vt=Validity16.unpack(vt_raw), peer_id=ctx.id_j)
 
 
@@ -548,7 +557,7 @@ def user_update_begin(
     pwb = encode_field(pw_i)
     opened = _open_card(idb, pwb, card)
     c_i = _recover_c(idb, pwb, opened.r1, opened.r2, card.x)
-    tau = sha256(concat(c_i, ts_bytes(t4), opened.uid))
+    tau = sha256(c_i, ts_bytes(t4), opened.uid)
     return (
         UpdateRequest(uid=opened.uid, tau=tau, t4=t4),
         UpdateContext(uid=opened.uid, c_i=c_i, t4=t4),
@@ -561,7 +570,7 @@ def rc_handle_update(rc: RcState, req: UpdateRequest, t5: int, delta_t: int) -> 
     c_i = rc.users.get(req.uid)
     if c_i is None:
         raise UnknownUser("uid not registered")
-    tau_check = sha256(concat(c_i, ts_bytes(req.t4), req.uid))
+    tau_check = sha256(c_i, ts_bytes(req.t4), req.uid)
     if not hmac.compare_digest(tau_check, req.tau):
         raise AuthFail("update request verifier mismatch")
     return server_list_bytes(rc)
@@ -584,8 +593,8 @@ def user_apply_server_list(id_i: str, pw_i: str, card: SmartCard, list_bytes: by
 
 
 def server_db_update_begin(secrets: ServerSecrets, ssk_j: bytes, t6: int) -> DbUpdateRequest:
-    q_j = xor(sha256(concat(secrets.id_j, secrets.pw_j)), secrets.p_j)
-    omega = sha256(concat(q_j, ts_bytes(t6), ssk_j))
+    q_j = xor(sha256(secrets.id_j, secrets.pw_j), secrets.p_j)
+    omega = sha256(q_j, ts_bytes(t6), ssk_j)
     return DbUpdateRequest(id_j=secrets.id_j, omega=omega, t6=t6)
 
 
@@ -599,7 +608,7 @@ def rc_handle_db_update(rc: RcState, req: DbUpdateRequest, t7: int, delta_t: int
     rec = rc.servers.get(req.id_j)
     if rec is None:
         raise UnknownServer("server id not registered")
-    omega_check = sha256(concat(rec.q_j, ts_bytes(req.t6), rec.ssk_j))
+    omega_check = sha256(rec.q_j, ts_bytes(req.t6), rec.ssk_j)
     if not hmac.compare_digest(omega_check, req.omega):
         raise AuthFail("db update request verifier mismatch")
     marker = rc.sync_markers.get(req.id_j, 0)

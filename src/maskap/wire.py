@@ -4,7 +4,8 @@ A frame is one type byte followed by a body.  FRAMES, the one table of
 layouts, gives every frame type its type byte, its class and its fields
 with their widths; every size on the wire is derived from it.  On a stream
 socket each frame is preceded by a 4-byte big-endian length; frames above
-MAX_FRAME_LEN are rejected.
+MAX_FRAME_LEN are rejected.  `Deframer` holds these stream rules once, for
+`read_frame` and for the service's event loop.
 """
 from __future__ import annotations
 
@@ -157,43 +158,96 @@ def decode_frame(raw: bytes) -> tuple[int, Frame]:
     return raw[0], _BY_TYPE[raw[0]].unpack(raw[1:])
 
 
-def write_frame(stream: BinaryIO, msg: Frame) -> None:
+PREFIX = struct.Struct(">I")  # before each frame on a stream: its length
+MID_FRAME = "stream ended mid-frame"
+
+
+def _oversized(length: int) -> CodecError:
+    return CodecError(f"frame of {length} bytes exceeds {MAX_FRAME_LEN}")
+
+
+def frame_bytes(msg: Frame) -> bytes:
+    """`msg`'s frame with its length prefix, as it goes on a stream."""
     raw = encode_frame(msg)
     if len(raw) > MAX_FRAME_LEN:
-        raise CodecError(f"frame of {len(raw)} bytes exceeds {MAX_FRAME_LEN}")
-    stream.write(struct.pack(">I", len(raw)) + raw)
+        raise _oversized(len(raw))
+    return PREFIX.pack(len(raw)) + raw
+
+
+def write_frame(stream: BinaryIO, msg: Frame) -> None:
+    stream.write(frame_bytes(msg))
     stream.flush()
 
 
-def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = stream.read(n - len(buf))
-        if not chunk:
+class Deframer:
+    """Cuts length-prefixed frames out of a stream's bytes as they arrive.
+
+    An oversized length raises CodecError as soon as it is read; the frame's
+    body is then discarded as it arrives, and the stream goes on with the
+    next frame.
+    """
+
+    __slots__ = ("buf", "skip")
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+        self.skip = 0  # bytes of an oversized frame still to discard
+
+    def feed(self, data: bytes) -> None:
+        if self.skip:
+            dropped = min(self.skip, len(data))
+            self.skip -= dropped
+            data = data[dropped:]
+        self.buf += data
+
+    def cut(self) -> bytes | None:
+        """The next whole frame, or None until more bytes arrive."""
+        buf = self.buf
+        if len(buf) < PREFIX.size:
             return None
-        buf += chunk
-    return buf
+        (length,) = PREFIX.unpack_from(buf)
+        end = PREFIX.size + length
+        if length > MAX_FRAME_LEN:
+            self.skip = max(0, end - len(buf))
+            del buf[:end]
+            raise _oversized(length)
+        if len(buf) < end:
+            return None
+        raw = bytes(buf[PREFIX.size : end])
+        del buf[:end]
+        return raw
+
+    def need(self) -> int:
+        """How many more bytes the next frame, or a discarded one, takes."""
+        if self.skip:
+            return self.skip
+        if len(self.buf) < PREFIX.size:
+            return PREFIX.size - len(self.buf)
+        return PREFIX.size + PREFIX.unpack_from(self.buf)[0] - len(self.buf)
+
+    def end(self) -> None:
+        """At the end of the stream: CodecError if a frame was cut off after
+        its length."""
+        if len(self.buf) >= PREFIX.size:
+            raise CodecError(MID_FRAME)
 
 
 def read_frame(stream: BinaryIO) -> bytes | None:
     """Read one length-prefixed frame; None on clean EOF.
 
-    An oversized length is consumed and discarded, then CodecError is
-    raised so the connection can answer with an error frame and continue.
+    An oversized frame is consumed and discarded, then CodecError is raised
+    so the connection can answer with an error frame and continue.
     """
-    header = _read_exact(stream, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_LEN:
-        remaining = length
-        while remaining > 0:
-            chunk = stream.read(min(remaining, 65536))
+    frames = Deframer()
+    try:
+        while (raw := frames.cut()) is None:
+            chunk = stream.read(frames.need())
             if not chunk:
-                break
-            remaining -= len(chunk)
-        raise CodecError(f"frame of {length} bytes exceeds {MAX_FRAME_LEN}")
-    raw = _read_exact(stream, length)
-    if raw is None:
-        raise CodecError("stream ended mid-frame")
+                frames.end()
+                return None
+            frames.feed(chunk)
+    except CodecError:
+        while frames.skip and (chunk := stream.read(min(frames.skip, 65536))):
+            frames.feed(chunk)
+        raise
     return raw

@@ -39,6 +39,16 @@ class TestHash:
     def test_deterministic(self):
         assert sha256(b"fixed input") == sha256(b"fixed input")
 
+    @given(st.lists(st.binary(max_size=40), max_size=5))
+    def test_parts_hash_as_one_juxtaposed_input(self, parts):
+        assert sha256(*parts) == sha256(b"".join(parts)) == hashlib.sha256(b"".join(parts)).digest()
+
+    def test_parts_counted_once(self):
+        counter = HashCounter()
+        with counter.phase("p"):
+            sha256(b"a", b"b", b"c")
+        assert counter.count("p") == 1
+
     def test_counts_when_counter_active(self):
         counter = HashCounter()
         with counter.phase("p"):
@@ -63,6 +73,22 @@ class TestXor:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             xor(b"ab", b"abc")
+
+    @pytest.mark.parametrize("short", range(4))
+    def test_length_mismatch_whichever_operand_is_short(self, short):
+        operands = [bytes(range(8)) for _ in range(4)]
+        operands[short] = operands[short][:-1]
+        with pytest.raises(LengthMismatch):
+            xor(*operands)
+
+    @given(st.integers(min_value=0, max_value=40).flatmap(
+        lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=5)
+    ))
+    def test_n_ary_equals_pairwise_fold(self, operands):
+        folded = operands[0]
+        for b in operands[1:]:
+            folded = xor(folded, b)
+        assert xor(*operands) == folded
 
     @given(st.binary(min_size=0, max_size=64), st.binary(min_size=0, max_size=64))
     def test_commutative(self, a, b):

@@ -1,6 +1,8 @@
 import contextlib
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -253,3 +255,206 @@ def db_update(stream, world, sim):
     msg_type, delta = wire.decode_frame(wire.read_frame(stream))
     assert msg_type == wire.MSG_USER_LIST_DELTA
     return delta
+
+
+def login_frames(world, n):
+    """``n`` framed login requests to srv00, cycling over its users and the
+    freshness window so that neighbouring replies differ."""
+    users = list(world.users.values())
+    frames = []
+    for i in range(n):
+        user = users[i % len(users)]
+        req, _ = protocol.user_login_begin(
+            user.user_id, user.password, user.card, "srv00", world.clock.now - (i // 2) % 5
+        )
+        frames.append(framed(wire.encode_frame(req)))
+    return frames
+
+
+def framed(raw):
+    return struct.pack(">I", len(raw)) + raw
+
+
+def expected_reply(srv, frame):
+    """The reply frame the service owes the framed request, computed in-process."""
+    return wire.encode_frame(srv.app.dispatch(frame[4:]))
+
+
+def read_exactly(sock, n):
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        assert chunk, f"connection closed after {len(buf)} of {n} bytes"
+        buf += chunk
+    return buf
+
+
+class TestFraming:
+    def test_request_written_one_byte_at_a_time(self, world, login_server):
+        (frame,) = login_frames(world, 1)
+        sock, stream = connect(login_server)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(frame)):
+                sock.sendall(frame[i : i + 1])
+            assert wire.read_frame(stream) == expected_reply(login_server, frame)
+        finally:
+            sock.close()
+
+    def test_two_requests_in_one_write_get_two_replies_in_order(self, world, login_server):
+        frames = login_frames(world, 2)
+        sock, stream = connect(login_server)
+        try:
+            sock.sendall(frames[0] + frames[1])
+            for frame in frames:
+                assert wire.read_frame(stream) == expected_reply(login_server, frame)
+        finally:
+            sock.close()
+
+    def test_eof_mid_frame_gets_error_frame(self, login_server):
+        sock, stream = connect(login_server)
+        try:
+            sock.sendall(struct.pack(">I", 68) + b"\x01" * 10)
+            sock.shutdown(socket.SHUT_WR)
+            assert wire.decode_frame(wire.read_frame(stream))[1] == "CodecError: stream ended mid-frame"
+            assert wire.read_frame(stream) is None
+        finally:
+            sock.close()
+
+    def test_64_connections_interleaved_each_get_their_own_reply(self, world, login_server):
+        frames = login_frames(world, 64)
+        conns = [connect(login_server) for _ in frames]
+        try:
+            for (sock, _), frame in zip(conns, frames):
+                sock.sendall(frame[:30])
+            for (sock, _), frame in zip(reversed(conns), reversed(frames)):
+                sock.sendall(frame[30:])
+            for (_, stream), frame in zip(conns, frames):
+                assert wire.read_frame(stream) == expected_reply(login_server, frame)
+        finally:
+            for sock, _ in conns:
+                sock.close()
+
+    def test_client_reset_leaves_the_others_served(self, world, login_server):
+        frames = login_frames(world, 2)
+        other, other_stream = connect(login_server)
+        rude, _ = connect(login_server)
+        try:
+            rude.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            rude.sendall(frames[0][:10])
+            rude.close()
+            other.sendall(frames[1])
+            assert wire.read_frame(other_stream) == expected_reply(login_server, frames[1])
+        finally:
+            other.close()
+
+    def test_no_thread_per_connection(self, world, login_server):
+        (frame,) = login_frames(world, 1)
+        before = threading.active_count()
+        for _ in range(50):
+            sock, stream = connect(login_server)
+            sock.sendall(frame)
+            assert wire.read_frame(stream) is not None
+            stream.close()
+            sock.close()
+        deadline = time.monotonic() + 2
+        while threading.active_count() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+
+
+@contextlib.contextmanager
+def served(app):
+    srv = service.start_server(app)
+    thread = service.serve_forever_in_thread(srv)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def login_app(world):
+    sim = world.servers["srv00"]
+    return service.ServerApp(
+        sim.trm, sim.server_id, sim.location, delta_t=5, vt_duration=world.vt_duration_s,
+        now_fn=lambda: world.clock.now + world.latency_s,
+    )
+
+
+class TestBounds:
+    def test_connection_over_the_cap_reads_eof(self, world, monkeypatch):
+        monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+        (frame,) = login_frames(world, 1)
+        with served(login_app(world)) as srv:
+            kept = [connect(srv) for _ in range(2)]
+            try:
+                for sock, stream in kept:  # both are accepted and served
+                    sock.sendall(frame)
+                    assert wire.read_frame(stream) is not None
+                extra, _ = connect(srv)
+                try:
+                    assert extra.recv(1) == b""
+                finally:
+                    extra.close()
+            finally:
+                for sock, _ in kept:
+                    sock.close()
+
+    def test_idle_client_reads_eof(self, world, monkeypatch):
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+        with served(login_app(world)) as srv:
+            sock, _ = connect(srv)
+            try:
+                t0 = time.monotonic()
+                assert sock.recv(1) == b""
+                assert 0.15 <= time.monotonic() - t0 < 2
+            finally:
+                sock.close()
+
+    def test_pipelining_client_does_not_stall_another(self, world, monkeypatch):
+        monkeypatch.setattr(service, "MAX_UNSENT_BYTES", 4096)
+        frames = login_frames(world, 2000)
+        with served(login_app(world)) as srv:
+            greedy = socket.socket()
+            greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            greedy.settimeout(10)
+            greedy.connect(srv.server_address)
+            writer = threading.Thread(target=greedy.sendall, args=(b"".join(frames),), daemon=True)
+            writer.start()
+            try:
+                time.sleep(0.2)
+                other, other_stream = connect(srv)
+                try:
+                    other.sendall(frames[1])
+                    assert wire.read_frame(other_stream) == expected_reply(srv, frames[1])
+                finally:
+                    other.close()
+                want = b"".join(framed(expected_reply(srv, frame)) for frame in frames)
+                assert read_exactly(greedy, len(want)) == want
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            finally:
+                greedy.close()
+
+
+class TestShutdown:
+    def test_shutdown_is_prompt_and_closes_clients(self, world):
+        (frame,) = login_frames(world, 1)
+        srv = service.start_server(login_app(world))
+        thread = service.serve_forever_in_thread(srv)
+        sock, stream = connect(srv)
+        try:
+            sock.sendall(frame)
+            assert wire.read_frame(stream) is not None
+            t0 = time.monotonic()
+            srv.shutdown()
+            assert time.monotonic() - t0 < 0.2
+            srv.server_close()
+            assert sock.recv(1) == b""
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            sock.close()
